@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import AmbiguousMatchError, NumericalError, ValidationError
-from .evolution import UnitaryTrajectory
-from .linalg import DEGENERACY_TOL, as_state, fold_angle, unitary_eigenphases_stack
+from .evolution import UnitaryTrajectory, sample_index
+from .linalg import DEGENERACY_TOL, as_state, fold_angle, stack_chunks, unitary_eigenphases_stack
 from .serialize import write_csv
 
 # Two candidate matches whose squared overlaps compete within this margin
@@ -55,14 +54,7 @@ class ActionTrack:
         return self.alphas - 2.0 * np.pi * self.windings
 
     def index_of(self, t: float) -> int:
-        k = int(np.searchsorted(self.times, t))
-        for j in (k - 1, k, k + 1):
-            if 0 <= j < len(self.times) and abs(self.times[j] - t) <= 1e-9:
-                return j
-        raise ValidationError(
-            f"t = {t!r} is not a sample time of this track "
-            f"(range [0, {self.times[-1]!r}])"
-        )
+        return sample_index(self.times, t, "track")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,29 +71,22 @@ def _cluster_ids(phi: np.ndarray) -> np.ndarray:
     Neighbors closer than DEGENERACY_TOL share a label; the first and last
     clusters merge when they touch across the branch point.
     """
-    d = phi.shape[0]
-    ids = np.zeros(d, dtype=int)
-    for j in range(1, d):
-        ids[j] = ids[j - 1] + (phi[j] - phi[j - 1] >= DEGENERACY_TOL)
-    if d > 1 and ids[0] != ids[-1] and 2.0 * np.pi - (phi[-1] - phi[0]) < DEGENERACY_TOL:
-        ids[ids == ids[-1]] = ids[0]
+    ids = np.concatenate(([0], np.cumsum(np.diff(phi) >= DEGENERACY_TOL)))
+    if ids[-1] != 0 and 2.0 * np.pi - (phi[-1] - phi[0]) < DEGENERACY_TOL:
+        ids[ids == ids[-1]] = 0
     return ids
 
 
-def _check_unambiguous(overlap, cluster, assign, step, time):
-    """Refuse near-tied matches that are not resolved by degeneracy.
+def _is_ambiguous(overlap, cluster, assign) -> bool:
+    """True for near-tied matches that are not resolved by degeneracy.
 
     For each previous-step channel, any candidate competing with the
     chosen column within _MATCH_MARGIN of squared overlap must belong to
     the same degenerate cluster (where the tie is pure gauge).
     """
-    d = overlap.shape[0]
-    chosen = overlap[np.arange(d), assign][:, None]
-    rival = (chosen - overlap < _MATCH_MARGIN) & (
-        cluster[None, :] != cluster[assign][:, None]
-    )
-    if rival.any():
-        raise AmbiguousMatchError(step, time)
+    chosen = overlap[np.arange(overlap.shape[0]), assign][:, None]
+    rival = (chosen - overlap < _MATCH_MARGIN) & (cluster[None, :] != cluster[assign][:, None])
+    return bool(rival.any())
 
 
 def _carry_degenerate_gauge(new_vecs, prev_vecs, raw_vecs, cluster, assign):
@@ -132,16 +117,42 @@ def _carry_degenerate_gauge(new_vecs, prev_vecs, raw_vecs, cluster, assign):
     return new_vecs
 
 
+def _raw_matches(vecs: np.ndarray):
+    """Row-wise argmax matching of each raw eigenbasis to the one before it.
+
+    Per consecutive pair: the argmax, whether it is a permutation, and
+    whether a row has a rival within _MATCH_MARGIN of its maximum.
+    """
+    n, d = vecs.shape[0] - 1, vecs.shape[1]
+    best = np.empty((n, d), dtype=int)
+    injective = np.empty(n, dtype=bool)
+    tied = np.empty(n, dtype=bool)
+    for part in stack_chunks(n, d):
+        prev = vecs[part.start : part.stop]
+        cur = vecs[part.start + 1 : part.stop + 1]
+        overlap = np.abs(np.swapaxes(prev.conj(), -1, -2) @ cur) ** 2
+        best[part] = overlap.argmax(axis=-1)
+        chosen = np.take_along_axis(overlap, best[part][..., None], axis=-1)
+        # More than one close column per row: the chosen one counts itself.
+        tied[part] = ((chosen - overlap < _MATCH_MARGIN).sum(axis=-1) > 1).any(axis=-1)
+        injective[part] = (np.sort(best[part], axis=-1) == np.arange(d)).all(axis=-1)
+    return best, injective, tied
+
+
 def track_action(traj: UnitaryTrajectory) -> ActionTrack:
     """Track eigenvectors and unwound eigenphases along a trajectory.
 
     Matching is by maximal squared overlap with the previous step, found
     by row-wise argmax (which attains the upper bound sum-of-row-maxima,
     hence is the optimal assignment, whenever it is injective) with an
-    exact assignment solve as fallback. Raises AmbiguousMatchError when
-    the data cannot distinguish two matchings, and NumericalError when an
-    eigenphase moves by pi/2 or more in one step; both cures are the same:
-    re-evolve with a smaller max_step.
+    exact assignment solve as fallback. Steps run as batched array
+    operations, except a step where it or its predecessor has a degenerate
+    cluster, or whose argmax is not injective: that step runs by itself
+    and carries the previous basis through the cluster. Raises
+    AmbiguousMatchError when the data cannot distinguish two matchings,
+    and NumericalError when an eigenphase moves by pi/2 or more in one
+    step, at the first step where either happens; both cures are the
+    same: re-evolve with a smaller max_step.
     """
     times = traj.times
     u = traj.unitaries
@@ -149,49 +160,61 @@ def track_action(traj: UnitaryTrajectory) -> ActionTrack:
     if n < 2:
         raise ValidationError("tracking needs at least two trajectory samples")
 
+    # Row k - 1 of every per-step array below belongs to step k.
     phis_raw, vecs_raw, deg_raw = unitary_eigenphases_stack(u[1:])
+    best, injective, tied = _raw_matches(vecs_raw)
+    deg_any = deg_raw.any(axis=1)
+    per_step = np.concatenate(([False], ~injective | deg_any[1:] | deg_any[:-1]))
+    per_step_at, tied_at = per_step.tolist(), [False, *tied.tolist()]
 
-    alphas = np.zeros((n, d))
-    windings = np.zeros((n, d), dtype=int)
     vectors = np.empty((n, d, d), dtype=complex)
-    degenerate = np.zeros((n, d), dtype=bool)
-    degenerate[0] = True  # U(0) = I: one fully degenerate cluster
-
-    prev_alpha = np.zeros(d)
-    prev_vecs = None
-    for k in range(1, n):
-        phi = phis_raw[k - 1]
+    perms = np.empty((n - 1, d), dtype=int)  # channel -> raw column
+    perms[0] = perm = np.arange(d)  # channel identity is born in sorted order
+    stop = n  # the ambiguous step, if any
+    for k in range(2, n):
+        if not per_step_at[k - 1]:
+            if tied_at[k - 1]:
+                stop = k
+                break
+            perms[k - 1] = perm = best[k - 2][perm]
+            continue
+        prev_vecs = vectors[k - 1] if per_step_at[k - 2] else vecs_raw[k - 2][:, perm]
         rvecs = vecs_raw[k - 1]
-        cluster = _cluster_ids(phi)
-        if prev_vecs is None:
-            # Channel identity is born here, in eigenphase-sorted order.
-            assign = np.arange(d)
-            new_vecs = rvecs.copy()
-        else:
-            overlap = np.abs(prev_vecs.conj().T @ rvecs) ** 2
-            assign = overlap.argmax(axis=1)
-            if np.unique(assign).size != d:
-                _, assign = linear_sum_assignment(-overlap)
-            _check_unambiguous(overlap, cluster, assign, k, times[k])
-            new_vecs = rvecs[:, assign].copy()
-            new_vecs = _carry_degenerate_gauge(new_vecs, prev_vecs, rvecs, cluster, assign)
+        overlap = np.abs(prev_vecs.conj().T @ rvecs) ** 2
+        assign = overlap.argmax(axis=1)
+        if np.unique(assign).size != d:
+            from scipy.optimize import linear_sum_assignment
 
-        new_phi = phi[assign]
-        delta = fold_angle(new_phi - prev_alpha)
-        worst = int(np.argmax(np.abs(delta)))
-        if abs(delta[worst]) >= np.pi / 2.0:
-            raise NumericalError(
-                f"eigenphase of channel {worst} moved {delta[worst]:+.4f} rad in one "
-                f"step at step {k} (t = {times[k]:.6g}), exceeding the pi/2 "
-                f"continuity budget; re-evolve with a smaller max_step"
-            )
-        prev_alpha = prev_alpha + delta
-        alphas[k] = prev_alpha
-        windings[k] = np.rint((prev_alpha - new_phi) / (2.0 * np.pi)).astype(int)
-        vectors[k] = new_vecs
-        degenerate[k] = deg_raw[k - 1][assign]
-        prev_vecs = new_vecs
+            _, assign = linear_sum_assignment(-overlap)
+        cluster = _cluster_ids(phis_raw[k - 1])
+        if _is_ambiguous(overlap, cluster, assign):
+            stop = k
+            break
+        vectors[k] = _carry_degenerate_gauge(rvecs[:, assign], prev_vecs, rvecs, cluster, assign)
+        perms[k - 1] = perm = assign
 
+    new_phi = np.zeros((stop, d))  # row 0 is t = 0, where U = I
+    new_phi[1:] = np.take_along_axis(phis_raw[: stop - 1], perms[: stop - 1], axis=1)
+    delta = fold_angle(np.diff(new_phi, axis=0))
+    jumps = np.flatnonzero((np.abs(delta) >= np.pi / 2.0).any(axis=1))
+    if jumps.size:
+        k = int(jumps[0]) + 1
+        worst = int(np.argmax(np.abs(delta[k - 1])))
+        raise NumericalError(
+            f"eigenphase of channel {worst} moved {delta[k - 1, worst]:+.4f} rad in one "
+            f"step at step {k} (t = {times[k]:.6g}), exceeding the pi/2 "
+            f"continuity budget; re-evolve with a smaller max_step"
+        )
+    if stop < n:
+        raise AmbiguousMatchError(stop, times[stop])
+
+    alphas = np.concatenate((np.zeros((1, d)), np.cumsum(delta, axis=0)))
+    windings = np.rint((alphas - new_phi) / (2.0 * np.pi)).astype(int)
+    degenerate = np.ones((n, d), dtype=bool)  # U(0) = I: one fully degenerate cluster
+    degenerate[1:] = np.take_along_axis(deg_raw, perms, axis=1)
+    for part in stack_chunks(n - 1, d):
+        rows = np.flatnonzero(~per_step[part]) + part.start
+        vectors[rows + 1] = np.take_along_axis(vecs_raw[rows], perms[rows][:, None, :], axis=-1)
     vectors[0] = vectors[1]  # gauge seed for the fully degenerate t = 0 record
     return ActionTrack(
         times=times,

@@ -173,6 +173,17 @@ def interpolated_hamiltonian(samples) -> HamiltonianTrajectory:
     return HamiltonianTrajectory(dim=dim, kind="interpolated", samples=tuple(pts))
 
 
+def sample_index(times: np.ndarray, t: float, owner: str) -> int:
+    """Index of the sample time within 1e-9 of t; owner names the record in errors."""
+    k = int(np.searchsorted(times, t))
+    for j in (k - 1, k, k + 1):
+        if 0 <= j < len(times) and abs(times[j] - t) <= 1e-9:
+            return j
+    raise ValidationError(
+        f"t = {t!r} is not a sample time of this {owner} (range [0, {times[-1]!r}])"
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class UnitaryTrajectory:
     """Sampled cumulative evolution U(t_k), with U(0) = I.
@@ -196,14 +207,7 @@ class UnitaryTrajectory:
         return self.unitaries.shape[1]
 
     def index_of(self, t: float) -> int:
-        k = int(np.searchsorted(self.times, t))
-        for j in (k - 1, k, k + 1):
-            if 0 <= j < len(self.times) and abs(self.times[j] - t) <= 1e-9:
-                return j
-        raise ValidationError(
-            f"t = {t!r} is not a sample time of this trajectory "
-            f"(range [0, {self.times[-1]!r}])"
-        )
+        return sample_index(self.times, t, "trajectory")
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,6 +33,10 @@ _COS_GROUP_TOL = 1e-8
 _HERM_TOL = 1e-10
 _UNITARY_TOL = 1e-10
 
+# Batch size of the stacked routines: about this many matrix entries per
+# (n, d, d) temporary, which bounds each to 1 MiB of complex.
+_CHUNK_ENTRIES = 1 << 16
+
 
 def fold_angle(x):
     """Fold an angle (or array of angles) into (-pi, pi].
@@ -110,27 +114,28 @@ class EigenSystem:
 
 
 def _degenerate_flags_real(w: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
-    flags = np.zeros(w.shape[0], dtype=bool)
-    close = np.abs(np.diff(w)) < tol
-    flags[:-1] |= close
-    flags[1:] |= close
+    # w sorted ascending along the last axis.
+    flags = np.zeros(w.shape, dtype=bool)
+    close = np.abs(np.diff(w, axis=-1)) < tol
+    flags[..., :-1] |= close
+    flags[..., 1:] |= close
     return flags
 
 
 def _degenerate_flags_circular(phi: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
-    # phi sorted ascending in (-pi, pi]; the circle closes between the
-    # last and first entries.
-    n = phi.shape[0]
-    flags = np.zeros(n, dtype=bool)
-    if n < 2:
-        return flags
-    close = np.abs(np.diff(phi)) < tol
-    flags[:-1] |= close
-    flags[1:] |= close
-    wrap = abs(2.0 * np.pi - (phi[-1] - phi[0])) < tol
-    if wrap:
-        flags[0] = flags[-1] = True
+    # phi sorted ascending in (-pi, pi] along the last axis; the circle
+    # closes between the last and first entries.
+    flags = _degenerate_flags_real(phi, tol)
+    wrap = np.abs(2.0 * np.pi - (phi[..., -1:] - phi[..., :1])) < tol
+    flags[..., :1] |= wrap
+    flags[..., -1:] |= wrap
     return flags
+
+
+def stack_chunks(n: int, d: int):
+    """Slices that cut a stack of n (d, d) matrices into bounded batches."""
+    step = max(1, _CHUNK_ENTRIES // max(1, d * d))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 def _group_spans(values: np.ndarray, tol: float):
@@ -165,18 +170,6 @@ def _refine_unitary_basis(c_vals, vectors, s_mat):
     return v
 
 
-def _unitary_eigen_from_parts(u, c_mat, s_mat, vectors):
-    """Per-vector eigenphases from Rayleigh quotients of the two parts."""
-    cos_q = np.einsum("ij,jk,ki->i", vectors.conj().T, c_mat, vectors).real
-    sin_q = np.einsum("ij,jk,ki->i", vectors.conj().T, s_mat, vectors).real
-    phi = np.arctan2(sin_q, cos_q)
-    # arctan2(+0, -1) = +pi, which is the branch-point rule we want; a
-    # rounding-noise -0.0 (or a sine tiny enough to round to -pi) would
-    # land on -pi instead, so flip that single excluded value.
-    phi[phi == -np.pi] = np.pi
-    return phi
-
-
 def spectral_decompose(m, kind: str | None = None) -> EigenSystem:
     """Eigendecompose a Hermitian or unitary matrix.
 
@@ -202,54 +195,53 @@ def spectral_decompose(m, kind: str | None = None) -> EigenSystem:
 
     if kind != "unitary":
         raise ValidationError(f"unknown decomposition kind {kind!r}")
-    m = check_unitary(m)
-    c_mat = (m + m.conj().T) / 2.0
-    s_mat = (m - m.conj().T) / 2.0j
-    c_vals, vectors = np.linalg.eigh(c_mat)
-    vectors = _refine_unitary_basis(c_vals, vectors, s_mat)
-    phi = _unitary_eigen_from_parts(m, c_mat, s_mat, vectors)
-    order = np.argsort(phi, kind="stable")
-    phi = phi[order]
-    vectors = vectors[:, order]
-    vals = np.exp(1j * phi)
-    return EigenSystem(vals, vectors, _degenerate_flags_circular(phi), "unitary")
+    phis, vecs, degen = unitary_eigenphases_stack(check_unitary(m)[None])
+    return EigenSystem(np.exp(1j * phis[0]), vecs[0], degen[0], "unitary")
 
 
 def unitary_eigenphases(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Principal eigenphases of a unitary, plus eigenvectors and flags.
 
     Returns (phi, vectors, degenerate) with phi sorted ascending in
-    (-pi, pi]. Convenience wrapper used by the action tracker.
+    (-pi, pi]. A stack of one through spectral_decompose.
     """
     es = spectral_decompose(u, "unitary")
     return np.angle(es.eigenvalues), es.eigenvectors, es.degenerate
 
 
 def unitary_eigenphases_stack(u_stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """unitary_eigenphases over a stack of unitaries, batching the eigh call.
+    """unitary_eigenphases over a stack of unitaries, as batched array operations.
 
     u_stack: (n, d, d) array of matrices already known to be unitary (no
-    per-sample unitarity check; the intended input is evolve output). The
-    cosine-part eigendecomposition, the dominant cost, runs as one batched
-    LAPACK call; refinement and phase extraction are per-sample.
+    per-sample unitarity check; the intended input is evolve output).
+    Returns (phis, vectors, degenerate) of shapes (n, d), (n, d, d), (n, d).
+    All of it runs as array operations over bounded chunks of samples,
+    except the sine refinement of the samples that have a cosine group.
     """
     u_stack = np.asarray(u_stack, dtype=complex)
-    u_dag = np.swapaxes(u_stack.conj(), -1, -2)
-    c_stack = (u_stack + u_dag) / 2.0
-    s_stack = (u_stack - u_dag) / 2.0j
-    c_vals, c_vecs = np.linalg.eigh(c_stack)
     n, d = u_stack.shape[0], u_stack.shape[1]
     phis = np.empty((n, d))
     vecs = np.empty((n, d, d), dtype=complex)
-    degen = np.empty((n, d), dtype=bool)
-    for k in range(n):
-        v = _refine_unitary_basis(c_vals[k], c_vecs[k], s_stack[k])
-        phi = _unitary_eigen_from_parts(u_stack[k], c_stack[k], s_stack[k], v)
-        order = np.argsort(phi, kind="stable")
-        phis[k] = phi[order]
-        vecs[k] = v[:, order]
-        degen[k] = _degenerate_flags_circular(phis[k])
-    return phis, vecs, degen
+    for part in stack_chunks(n, d):
+        u = u_stack[part]
+        u_dag = np.swapaxes(u.conj(), -1, -2)
+        c = (u + u_dag) / 2.0
+        s = (u - u_dag) / 2.0j
+        c_vals, v = np.linalg.eigh(c)
+        for k in np.flatnonzero((np.diff(c_vals, axis=-1) < _COS_GROUP_TOL).any(axis=-1)):
+            v[k] = _refine_unitary_basis(c_vals[k], v[k], s[k])
+        v_dag = np.swapaxes(v.conj(), -1, -2)
+        cos_q = np.einsum("nij,njk,nki->ni", v_dag, c, v).real
+        sin_q = np.einsum("nij,njk,nki->ni", v_dag, s, v).real
+        phi = np.arctan2(sin_q, cos_q)
+        # arctan2(+0, -1) = +pi, which is the branch-point rule we want; a
+        # rounding-noise -0.0 (or a sine tiny enough to round to -pi) would
+        # land on -pi instead, so flip that single excluded value.
+        phi[phi == -np.pi] = np.pi
+        order = np.argsort(phi, axis=-1, kind="stable")
+        phis[part] = np.take_along_axis(phi, order, axis=-1)
+        vecs[part] = np.take_along_axis(v, order[:, None, :], axis=-1)
+    return phis, vecs, _degenerate_flags_circular(phis)
 
 
 def exp_i(a) -> np.ndarray:

@@ -1,12 +1,17 @@
 """Command line behavior: payload shapes, output files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
+import qeffort
 from qeffort import exp_i, matrix_from_json, matrix_to_json, state_to_json
 from qeffort.cli import main
 
@@ -305,3 +310,12 @@ class TestCsvTasks:
         lines = [ln for ln in out.read_text().split("\n") if ln]
         assert lines[0] == "gate,difficulty"
         assert lines[-1].startswith("ph(0.9)")
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the tracker's rarely taken assignment fallback,
+    # which imports it on first use.
+    src = str(Path(qeffort.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, qeffort.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

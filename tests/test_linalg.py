@@ -15,6 +15,7 @@ from qeffort import (
     unitary_eigenphases,
 )
 from qeffort.linalg import (
+    _refine_unitary_basis,
     as_state,
     check_hermitian,
     check_unitary,
@@ -180,3 +181,37 @@ class TestEigenphaseStack:
             overlaps = np.abs(np.einsum("ij,ij->j", vecs.conj(), vectors[k]))
             np.testing.assert_allclose(overlaps, 1.0, atol=1e-9)
             assert list(flags[k]) == list(degen)
+
+    def test_batched_stack_matches_the_per_sample_route(self):
+        # Three chunks of d = 16 samples; every seventh has +phi/-phi pairs
+        # and repeated phases (a cosine group, so it is refined) and every
+        # eleventh an eigenphase of exactly pi.
+        rng = np.random.default_rng(15)
+        us = []
+        for k in range(600):
+            phases = rng.uniform(-np.pi, np.pi, 16)
+            if k % 7 == 0:
+                phases[8:] = -phases[:8]
+                phases[1] = phases[0]
+            if k % 11 == 0:
+                phases[3] = np.pi
+            v = haar_unitary(rng, 16)
+            us.append((v * np.exp(1j * phases)) @ v.conj().T)
+        phases, vectors, flags = unitary_eigenphases_stack(np.stack(us))
+        for k, u in enumerate(us):
+            # The per-matrix route that the batched stack replaced.
+            c = (u + u.conj().T) / 2.0
+            s = (u - u.conj().T) / 2.0j
+            c_vals, v = np.linalg.eigh(c)
+            v = _refine_unitary_basis(c_vals, v, s)
+            cos_q = np.einsum("ij,jk,ki->i", v.conj().T, c, v).real
+            sin_q = np.einsum("ij,jk,ki->i", v.conj().T, s, v).real
+            phi = np.arctan2(sin_q, cos_q)
+            phi[phi == -np.pi] = np.pi
+            order = np.argsort(phi, kind="stable")
+            np.testing.assert_array_equal(phases[k], phi[order])
+            np.testing.assert_array_equal(vectors[k], v[:, order])
+            gaps = np.diff(np.append(phi[order], phi[order][0] + 2.0 * np.pi))
+            close = gaps < 1e-9
+            assert flags[k].tolist() == (close | np.roll(close, 1)).tolist()
+        assert flags[::7].any(axis=1).all()
