@@ -120,19 +120,27 @@ def write_json(path, payload) -> None:
         f.write(dump_json(payload))
 
 
-def _csv_cell(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return "%.17g" % float(x)
-    return str(x)
+def _cell_format(tp) -> str:
+    """%-format of a CSV cell of type tp: bools as 1/0, integers in full,
+    floats with 17 significant digits, anything else as str."""
+    if issubclass(tp, (bool, np.bool_, int, np.integer)):
+        return "%d"
+    if issubclass(tp, (float, np.floating)):
+        return "%.17g"
+    return "%s"
 
 
 def csv_text(header, rows) -> str:
+    """CSV text; each row is formatted whole, by one format per row signature."""
+    formats = {}
     lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(x) for x in row) for row in rows)
+    for row in rows:
+        row = tuple(row)
+        key = tuple(map(type, row))
+        fmt = formats.get(key)
+        if fmt is None:
+            fmt = formats[key] = ",".join(map(_cell_format, key))
+        lines.append(fmt % row)
     return "\n".join(lines) + "\n"
 
 

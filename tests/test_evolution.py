@@ -1,5 +1,7 @@
 """Trajectory construction and the propagator integrator."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -12,10 +14,13 @@ from qeffort import (
     apply,
     constant_hamiltonian,
     evolve,
+    exp_i,
     interpolated_hamiltonian,
     piecewise_hamiltonian,
+    reunitarize,
     state_trajectory,
 )
+from qeffort.evolution import _drift, _first_drift
 from conftest import (
     driven_qubit_exact,
     driven_qubit_hamiltonian,
@@ -94,6 +99,12 @@ class TestConstruction:
             [(1.0, np.diag([1.0, 0.0])), (1.0, np.diag([0.0, -5.0]))]
         )
         assert h.spectral_norm_max() == 5.0
+
+    def test_spectral_norm_max_equals_the_per_matrix_maximum(self):
+        rng = np.random.default_rng(24)
+        mats = [random_hermitian(rng, 5, rng.uniform(0.5, 3.0)) for _ in range(9)]
+        h = interpolated_hamiltonian(zip(np.linspace(0.0, 1.0, 9), mats))
+        assert h.spectral_norm_max() == max(float(np.linalg.norm(m, 2)) for m in mats)
 
     def test_total_duration_only_for_piecewise(self):
         h = piecewise_hamiltonian([(0.5, np.eye(2)), (0.25, np.eye(2))])
@@ -267,3 +278,121 @@ class TestStates:
         got = apply(traj, psi0, 0.5)
         want = expm(0.5j * h) @ psi0
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def reference_midpoint_evolve(h, t_end, policy):
+    """The per-step midpoint loop that evolve's batched stage replaced.
+
+    One exp_i, one chain product and one drift check per step, for an
+    interpolated drive. Returns (times, unitaries, blocks, drift_polishes),
+    the last counting polishes that fired on drift alone.
+    """
+    hmax = max(float(np.linalg.norm(m, 2)) for _, m in h.samples)
+    cap = policy.max_step or min(DEFAULT_MAX_STEP, math.pi / (8.0 * hmax))
+    dim = h.dim
+    times, unitaries, blocks = [np.array([0.0])], [np.eye(dim, dtype=complex)[None]], []
+    u_cur = np.eye(dim, dtype=complex)
+    idx = drift_polishes = 0
+    for (a0, h0), (a1, h1) in zip(h.samples[:-1], h.samples[1:]):
+        t0, t1 = max(a0, 0.0), min(a1, t_end)
+        if t1 <= t0:
+            continue
+        dur = t1 - t0
+        n = max(2, math.ceil(dur / cap))
+        n += n % 2
+        dt = dur / n
+        batch = np.empty((n, dim, dim), dtype=complex)
+        since_polish = 0
+        for k in range(n):
+            w = (t0 + (k + 0.5) * dt - a0) / (a1 - a0)
+            u_cur = exp_i(((1.0 - w) * h0 + w * h1) * dt) @ u_cur
+            since_polish += 1
+            drift = np.linalg.norm(u_cur.conj().T @ u_cur - np.eye(dim))
+            if drift > policy.tolerance or since_polish >= policy.reunitarize_every:
+                drift_polishes += since_polish < policy.reunitarize_every
+                u_cur = reunitarize(u_cur)
+                since_polish = 0
+            batch[k] = u_cur
+        times.append(t0 + np.linspace(0.0, dur, n + 1)[1:])
+        unitaries.append(batch)
+        blocks.append((idx, idx + n))
+        idx += n
+    return np.concatenate(times), np.concatenate(unitaries), blocks, drift_polishes
+
+
+class TestBatchedMidpointStage:
+    """evolve's batched midpoint stage against the per-step loop, bit for bit."""
+
+    def assert_matches_reference(self, h, t_end, policy):
+        traj = evolve(h, t_end, policy)
+        times, unitaries, blocks, drift_polishes = reference_midpoint_evolve(
+            h, t_end, policy
+        )
+        np.testing.assert_array_equal(traj.times, times)
+        np.testing.assert_array_equal(traj.unitaries, unitaries)
+        assert [(a, b) for a, b, _ in traj.blocks] == blocks
+        return traj, drift_polishes
+
+    def test_d16_blocks_and_chunks_split_each_other(self):
+        # A chunk holds 256 steps at d = 16: the first chunk holds two whole
+        # blocks and the start of a third, which spans three chunks.
+        rng = np.random.default_rng(31)
+        knots = [0.0, 0.09, 0.19, 0.79]
+        h = interpolated_hamiltonian((t, random_hermitian(rng, 16, 1.5)) for t in knots)
+        traj, _ = self.assert_matches_reference(h, 0.79, StepPolicy(max_step=1e-3))
+        assert [b - a for a, b, _ in traj.blocks] == [90, 100, 602]
+
+    def test_many_knots_with_few_steps_each(self):
+        # About 400 blocks of a few steps each; the first knot lies before
+        # t = 0 and the drive is cut inside its last interval.
+        rng = np.random.default_rng(32)
+        knots = np.linspace(-0.0013, 0.5013, 402)
+        h = interpolated_hamiltonian((t, random_hermitian(rng, 3, 2.0)) for t in knots)
+        traj, _ = self.assert_matches_reference(h, 0.5, StepPolicy())
+        assert len(traj.blocks) > 390
+        assert max(b - a for a, b, _ in traj.blocks) <= 6
+        assert traj.blocks[0][2][1] < 0.0 < 0.5 < traj.blocks[-1][2][3]
+
+    @pytest.mark.parametrize("every", [1, 7, 100])
+    def test_reunitarize_schedules(self, every):
+        rng = np.random.default_rng(33)
+        knots = np.linspace(0.0, 0.6, 5)
+        h = interpolated_hamiltonian((t, random_hermitian(rng, 4, 1.5)) for t in knots)
+        self.assert_matches_reference(
+            h, 0.6, StepPolicy(max_step=1e-3, reunitarize_every=every)
+        )
+
+    @pytest.mark.parametrize("dim, every", [(2, 7), (2, 50), (16, 50)])
+    def test_drift_polishes_fire_mid_segment(self, dim, every):
+        # A tolerance at the rounding level: some steps drift past it and are
+        # polished between scheduled polishes, others do not.
+        rng = np.random.default_rng(34)
+        knots = np.linspace(0.0, 0.3, 4)
+        h = interpolated_hamiltonian((t, random_hermitian(rng, dim, 1.5)) for t in knots)
+        policy = StepPolicy(max_step=1e-3, tolerance=1.5e-15 * dim, reunitarize_every=every)
+        traj, drift_polishes = self.assert_matches_reference(h, 0.3, policy)
+        assert 0 < drift_polishes < len(traj.times) // 2
+
+    def test_every_step_over_tolerance(self):
+        rng = np.random.default_rng(35)
+        knots = np.linspace(0.0, 0.2, 3)
+        h = interpolated_hamiltonian((t, random_hermitian(rng, 4, 1.5)) for t in knots)
+        policy = StepPolicy(max_step=1e-3, tolerance=1e-30, reunitarize_every=5)
+        traj, drift_polishes = self.assert_matches_reference(h, 0.2, policy)
+        assert drift_polishes > len(traj.times) // 2
+
+    def test_drift_verdict_is_the_per_matrix_drift(self):
+        # The batched estimate only preselects; at a tolerance equal to one
+        # matrix's own drift, that matrix must not count as over it.
+        # At d = 2 the batched sum of squares and the per-matrix norm round
+        # differently for about a fifth of these matrices.
+        rng = np.random.default_rng(36)
+        us = np.stack([
+            reunitarize(exp_i(random_hermitian(rng, 2, 1.0)) + 1e-13 * random_hermitian(rng, 2))
+            @ exp_i(random_hermitian(rng, 2, 1.0)) for _ in range(200)
+        ])
+        drifts = np.array([_drift(u) for u in us])
+        for i, tol in enumerate(drifts):
+            over = np.flatnonzero(drifts[i:] > tol)
+            want = int(over[0]) if over.size else None
+            assert _first_drift(us[i:], tol, np.ones(len(us) - i, dtype=bool)) == want

@@ -134,6 +134,32 @@ class TestCsvText:
         assert lines[2] == "2,0.5,0,x"
         assert text.endswith("\n")
 
+    def test_matches_the_per_cell_route_on_mixed_rows(self):
+        def cell(x):
+            # The per-cell formatter csv_text used to call on every cell.
+            if isinstance(x, (bool, np.bool_)):
+                return "1" if x else "0"
+            if isinstance(x, (int, np.integer)):
+                return str(int(x))
+            if isinstance(x, (float, np.floating)):
+                return "%.17g" % float(x)
+            return str(x)
+
+        rows = [
+            (True, np.bool_(False), 7, np.int64(-3), 0.1, np.float64(2.5e-300)),
+            (np.bool_(True), False, np.int32(12), 2**70, -0.0, math.inf),
+            (math.nan, -math.inf, np.float32(0.1), np.uint8(255), "a,b%s", 1e22),
+            (1.5, 2, np.float64(math.pi), "label"),
+            [np.int64(4), np.float64(-0.0), np.bool_(False), "x"],
+            (),
+            (3, 0.5, True),
+        ]
+        want = "\n".join(
+            [",".join(("h1", "h2"))] + [",".join(cell(x) for x in row) for row in rows]
+        ) + "\n"
+        assert csv_text(("h1", "h2"), rows) == want
+        assert csv_text(("h1", "h2"), iter(rows)) == want
+
     def test_seventeen_digits_round_trip(self):
         value = 0.1 + 0.2
         cell = csv_text(("v",), [(value,)]).split("\n")[1]
