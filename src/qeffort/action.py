@@ -7,6 +7,17 @@ to the previous sample's by overlap, and each matched eigenphase is
 unwound by the multiple of 2pi that keeps its motion small. A(0) = 0 and
 per-channel winding integers make the logarithm single-valued along the
 whole trajectory.
+
+track_action decomposes U at every sample. effort_report needs only
+A(t_end), so it tracks on knots: every s-th sample and the last one,
+with s the largest stride that keeps each eigenphase's motion between
+knots under the pi/8 per-step budget of the step policy. A knot step
+where two eigenphases a winding apart come close enough to swap their
+eigenvectors unseen is refined with samples at a quarter of its length,
+down to single samples. A knot step whose argmax is not a permutation,
+whose match is ambiguous, or whose phase moves by pi/2 or more makes it
+retry at a quarter of the stride; at stride 1 it is track_action
+itself, errors included.
 """
 
 from __future__ import annotations
@@ -154,12 +165,19 @@ def track_action(traj: UnitaryTrajectory) -> ActionTrack:
     step, at the first step where either happens; both cures are the
     same: re-evolve with a smaller max_step.
     """
-    times = traj.times
-    u = traj.unitaries
-    n, d = u.shape[0], u.shape[1]
-    if n < 2:
+    if traj.unitaries.shape[0] < 2:
         raise ValidationError("tracking needs at least two trajectory samples")
+    return _track(traj.times, traj.unitaries, strict=False)
 
+
+def _track(times: np.ndarray, u: np.ndarray, strict: bool) -> ActionTrack:
+    """track_action on the samples (times, u).
+
+    strict refuses a step whose argmax is not a permutation, as an
+    AmbiguousMatchError, instead of solving the assignment (which imports
+    scipy).
+    """
+    n, d = u.shape[0], u.shape[1]
     # Row k - 1 of every per-step array below belongs to step k.
     phis_raw, vecs_raw, deg_raw = unitary_eigenphases_stack(u[1:])
     best, injective, tied = _raw_matches(vecs_raw)
@@ -183,6 +201,8 @@ def track_action(traj: UnitaryTrajectory) -> ActionTrack:
         overlap = np.abs(prev_vecs.conj().T @ rvecs) ** 2
         assign = overlap.argmax(axis=1)
         if np.unique(assign).size != d:
+            if strict:
+                raise AmbiguousMatchError(k, times[k])
             from scipy.optimize import linear_sum_assignment
 
             _, assign = linear_sum_assignment(-overlap)
@@ -223,6 +243,57 @@ def track_action(traj: UnitaryTrajectory) -> ActionTrack:
         eigenvectors=vectors,
         degenerate=degenerate,
     )
+
+
+def _track_knots(traj: UnitaryTrajectory) -> ActionTrack:
+    """Track A(t) on every s-th sample and the last, refined where needed.
+
+    Eigenphases of U move at most h_norm_max per unit time, so the first
+    stride is the largest that keeps their motion between knots under
+    pi/8 (the whole trajectory when H = 0). A knot step that could hide
+    an eigenvector swap (_swap_risks) gets samples at a quarter of its
+    length added, until no such step is longer than one sample. A failed
+    knot step retries everything at a quarter of the stride; at stride 1
+    this is track_action(traj).
+    """
+    last = traj.times.shape[0] - 1
+    motion = 8.0 * traj.h_norm_max * float(np.diff(traj.times).max(initial=0.0))
+    stride = last if motion * last <= np.pi else int(np.pi / motion)
+    while stride > 1:
+        knots = np.append(np.arange(0, last, stride), last)
+        try:
+            while True:
+                track = _track(traj.times[knots], traj.unitaries[knots], strict=True)
+                span = np.diff(knots)
+                risky = np.flatnonzero(_swap_risks(track, traj.h_norm_max) & (span > 1))
+                if risky.size == 0:
+                    return track
+                steps = np.maximum(span[risky] // 4, 1)
+                added = [np.arange(knots[i], knots[i + 1], s) for i, s in zip(risky, steps)]
+                knots = np.union1d(knots, np.concatenate(added))
+        except NumericalError:
+            stride //= 4
+    return track_action(traj)
+
+
+def _swap_risks(track: ActionTrack, h_norm_max: float) -> np.ndarray:
+    """Flag the knot steps across which a missed eigenvector swap could change A.
+
+    In a step of length dt each eigenphase moves at most mu = h_norm_max * dt
+    and an eigenvector turns at most (pi / 2) * mu / gap, gap being its
+    least distance to another eigenphase on the way. Two channels that stay
+    4 mu apart at both ends keep gap >= 3 mu, so neither turns the pi/4 a
+    swap needs. A swap between channels whose unwound phases differ by at
+    most pi only trades equal branches; one between channels a winding
+    apart moves A by 2 pi. So a step is flagged when two channels whose
+    unwound phases differ by more than pi come within 4 mu at either end.
+    """
+    gap = np.empty(track.times.shape[0])
+    for part in stack_chunks(gap.size, track.dim):
+        diff = np.abs(track.alphas[part, :, None] - track.alphas[part, None, :])
+        gap[part] = np.where(diff > np.pi, np.abs(fold_angle(diff)), np.inf).min(axis=(1, 2))
+    reach = 4.0 * h_norm_max * np.diff(track.times)
+    return np.minimum(gap[:-1], gap[1:]) < reach
 
 
 def action_at(track: ActionTrack, t: float) -> ActionOperator:

@@ -24,7 +24,7 @@ from .difficulty import (
     optimal_hamiltonian,
     verify_minimality,
 )
-from .effort import area_swept, effort_report, export_state_trace_csv
+from .effort import _report, area_swept, export_state_trace_csv
 from .errors import NumericalError, ValidationError
 from .evolution import StepPolicy, evolve, state_trajectory
 from .infidelity import ml_check, plan_infidelity
@@ -130,14 +130,10 @@ def _task_effort(problem, policy, args):
     psi0 = state_from_json(problem["initial_state"])
     t_end = float(problem["t_end"])
     bases = _effort_bases(problem)
-    report = effort_report(h, psi0, t_end, bases=bases, policy=policy)
+    report, states = _report(evolve(h, t_end, policy), psi0, bases)
     payload = {"task": "effort", **report.to_json()}
-
-    def csv_writer(path):
-        states = state_trajectory(evolve(h, t_end, policy), psi0)
-        export_state_trace_csv(path, states, basis=bases[0] if bases else None)
-
-    return payload, csv_writer
+    basis = bases[0] if bases else None
+    return payload, lambda path: export_state_trace_csv(path, states, basis=basis)
 
 
 def _task_area(problem, policy, args):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import ActionOperator, action_expectation, track_action
+from .action import ActionOperator, _track_knots, action_expectation
 from .errors import ValidationError
 from .evolution import StateTrajectory, evolve, state_trajectory
 from .linalg import as_state, check_hermitian, check_unitary
@@ -172,12 +172,26 @@ def effort_report(h, psi0, t_end: float, bases=None, policy=None) -> EffortRepor
     bases: optional list of unitary basis matrices for the area; the
     reported area uses the first, and area_basis_variation records the
     spread across all of them.
+
+    The action estimator needs A(t_end) only, so it tracks the eigenphases
+    on knots: every s-th sample and the last, with s the largest stride
+    whose eigenphase motion per knot step stays within the pi/8 budget
+    the step policy gives each sample. A knot step where two channels a
+    winding apart come close enough to swap eigenvectors unseen is
+    refined. A knot step that cannot be matched cleanly retries at a
+    quarter of the stride, down to stride 1, which is track_action on
+    every sample (with its errors). The unwound phases agree with
+    track_action's to the rounding of its longer sum.
     """
-    traj = evolve(h, t_end, policy)
+    return _report(evolve(h, t_end, policy), psi0, bases)[0]
+
+
+def _report(traj, psi0, bases=None) -> tuple[EffortReport, StateTrajectory]:
+    """effort_report on an evolved trajectory; also returns psi0's states."""
     st = state_trajectory(traj, psi0)
     line = effort_line_integral(st)
     energy = blockwise_energy_integral(traj, st.states)
-    track = track_action(traj)
+    track = _track_knots(traj)
     a_exp = action_expectation(track, psi0, float(traj.times[-1]))
     basis_list = list(bases) if bases else [None]
     areas = [area_swept(st, b) for b in basis_list]
@@ -192,7 +206,7 @@ def effort_report(h, psi0, t_end: float, bases=None, policy=None) -> EffortRepor
         basis_used="standard" if bases is None or not bases else "custom",
         max_pairwise_discrepancy=disc,
         area_basis_variation=max(areas) - min(areas) if len(areas) > 1 else 0.0,
-    )
+    ), st
 
 
 def _bounds_from_listed(mat, states, probs) -> EffortBounds:

@@ -22,6 +22,7 @@ downstream Simpson quadrature needs no special casing.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -190,6 +191,19 @@ def sample_index(times: np.ndarray, t: float, owner: str) -> int:
     raise ValidationError(
         f"t = {t!r} is not a sample time of this {owner} (range [0, {times[-1]!r}])"
     )
+
+
+def check_memory(samples: int, nbytes: int, what: str) -> None:
+    """Refuse, before allocating, nbytes for samples that exceed physical memory."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # no sysconf here: nothing to compare against
+    if nbytes > physical:
+        raise ValidationError(
+            f"{what} needs {samples} samples ({nbytes} bytes), more than the "
+            f"{physical} bytes of physical memory"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,6 +408,8 @@ def evolve(
     """
     if not t_end > 0.0:
         raise ValidationError(f"t_end must be positive, got {t_end!r}")
+    if not math.isfinite(t_end):
+        raise ValidationError(f"t_end must be finite, got {t_end!r}")
     if policy is None:
         policy = StepPolicy()
     h_norm_max = h.spectral_norm_max()
@@ -414,6 +430,7 @@ def evolve(
         plan.append(_Block(idx, n, t0, dur, desc))
         idx += n
 
+    check_memory(idx + 1, (idx + 1) * (8 + 16 * h.dim * h.dim), f"evolving to t_end = {t_end!r}")
     times = np.empty(idx + 1)
     times[0] = 0.0
     unitaries = np.empty((idx + 1, h.dim, h.dim), dtype=complex)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .evolution import HamiltonianTrajectory, constant_hamiltonian
+from .evolution import HamiltonianTrajectory, check_memory, constant_hamiltonian
 from .linalg import as_state, check_hermitian
 
 #: Overlap magnitude below which two states count as orthogonal.
@@ -127,6 +127,8 @@ def orthogonalization_time(h: HamiltonianTrajectory, psi0, t_max: float):
         raise ValidationError("orthogonalization_time needs a constant Hamiltonian")
     if not t_max > 0.0:
         raise ValidationError("t_max must be positive")
+    if not math.isfinite(t_max):
+        raise ValidationError(f"t_max must be finite, got {t_max!r}")
     psi0 = as_state(psi0)
     w, v = np.linalg.eigh(h.matrix)
     p = np.abs(v.conj().T @ psi0) ** 2
@@ -137,6 +139,8 @@ def orthogonalization_time(h: HamiltonianTrajectory, psi0, t_max: float):
 
     dt = math.pi / (16.0 * spread)
     n_pts = max(2, math.ceil(t_max / dt)) + 1
+    # The scan holds times, phases, their exponentials and the overlaps.
+    check_memory(n_pts, n_pts * (32 + 24 * w.size), f"orthogonality scan to t_max = {t_max!r}")
     ts = np.linspace(0.0, t_max, n_pts)
     f = np.abs(np.exp(1j * np.outer(ts, w)) @ p.astype(complex))
 

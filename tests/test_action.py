@@ -1,13 +1,20 @@
 """Branch-continuous eigenphase tracking and the action operator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import qeffort.action as action_module
+import qeffort.effort as effort_module
 from qeffort import (
     AmbiguousMatchError,
     NumericalError,
     SIGMA_X,
+    SIGMA_Z,
     StepPolicy,
     UnitaryTrajectory,
     ValidationError,
@@ -15,6 +22,7 @@ from qeffort import (
     action_derivative,
     action_expectation,
     constant_hamiltonian,
+    effort_report,
     evolve,
     exp_i,
     fold_angle,
@@ -22,7 +30,7 @@ from qeffort import (
     principal_log_unitary,
     track_action,
 )
-from conftest import haar_unitary, random_hermitian, random_trajectory
+from conftest import haar_unitary, random_hermitian, random_state, random_trajectory
 
 
 def tracked(h_mat, t_end, max_step):
@@ -345,3 +353,194 @@ class TestTrackCsv:
         assert float(last[2]) == pytest.approx(
             track.principal_phases()[-1, 1], abs=1e-15
         )
+
+def _first_stride(traj):
+    return int(np.pi / (8.0 * traj.h_norm_max * np.diff(traj.times).max()))
+
+
+def _stride_used(traj, knot):
+    """The longest knot step, in samples: the stride of the last pass."""
+    return int(np.diff(np.searchsorted(traj.times, knot.times)).max())
+
+
+# d in {2, 4, 8, 16} x constant/piecewise and one interpolated d = 4 drive,
+# all at the default step. The d = 16 piecewise drive has a knot step too
+# ambiguous to match at the first stride.
+_KNOT_FAMILY = [(d, kind) for d in (2, 4, 8, 16) for kind in ("constant", "piecewise")]
+_KNOT_FAMILY.append((4, "interpolated"))
+
+
+def _knot_drive(dim, kind):
+    """A seeded drive on [0, 1] and an initial state."""
+    rng = np.random.default_rng(1000 + 10 * dim + len(kind))
+    return random_trajectory(rng, dim, kind, 1.0), random_state(rng, dim)
+
+
+def _basis_turning_faster_than_phases():
+    # Phases move at 1 rad per unit time while the eigenbasis turns at 3,
+    # so the 39-sample first knot step's row-wise argmax is not a
+    # permutation; its assignment solve would import scipy.
+    rng = np.random.default_rng(0)
+    k = rng.standard_normal((3, 3))
+    k = k - k.T
+    k *= 3.0 / np.linalg.norm(k, 2)
+    times = 0.01 * np.arange(201)
+    us = [
+        exp_i(-1j * t * k) @ np.diag(np.exp(1j * t * np.array([1.0, 0.0, -1.0]))) @ exp_i(1j * t * k)
+        for t in times
+    ]
+    return UnitaryTrajectory(
+        times=times,
+        unitaries=np.stack(us),
+        step_policy=StepPolicy(),
+        kind="constant",
+        blocks=(),
+        h_norm_max=1.0,
+    )
+
+
+def _failing_at_the_last_step(how):
+    # 41 samples 0.01 apart with phase speed 1: first stride 39, then 9, 2
+    # and 1, and the last knot step always ends at sample 40. There the
+    # eigenbasis turns by 45 degrees (or 1e-8 short of it), or the phases
+    # jump by 2 rad, so every stride fails.
+    phases = 0.01 * np.arange(41)[:, None] * np.array([1.0, -1.0])
+    angle = {"turn-45": np.pi / 4, "turn-45-tied": np.pi / 4 - 1e-8}.get(how, 0.0)
+    if how == "jump":
+        phases[40] += [2.0, 0.0]
+    c, s = np.cos(angle), np.sin(angle)
+    w = np.array([[c, -s], [s, c]], dtype=complex)
+    us = [np.diag(np.exp(1j * p)) for p in phases[:40]] + [(w * np.exp(1j * phases[40])) @ w.conj().T]
+    return UnitaryTrajectory(
+        times=0.01 * np.arange(41),
+        unitaries=np.stack(us),
+        step_policy=StepPolicy(),
+        kind="constant",
+        blocks=(),
+        h_norm_max=1.0,
+    )
+
+
+class TestKnotTracking:
+    """effort_report's tracker: every s-th sample and the last, refined on failure."""
+
+    @pytest.mark.parametrize("dim, kind", _KNOT_FAMILY, ids=[f"d{d}-{k}" for d, k in _KNOT_FAMILY])
+    def test_agrees_with_every_sample_tracking(self, dim, kind, monkeypatch):
+        h, psi0 = _knot_drive(dim, kind)
+        traj = evolve(h, 1.0)
+        knot = action_module._track_knots(traj)
+        full = track_action(traj)
+        first, stride = _first_stride(traj), _stride_used(traj, knot)
+        if (dim, kind) == (16, "piecewise"):
+            assert (first, stride) == (785, 196)
+        else:
+            assert 1 < stride <= first
+        # Every s-th sample and the last, plus any refined swap risks.
+        assert set(traj.times[:-1:stride]) | {traj.times[-1]} <= set(knot.times)
+        # Channels are numbered at the first step, so after an avoided
+        # crossing a coarser step may number two of them the other way
+        # round; pair the channels by their final eigenvectors.
+        overlap = np.abs(full.eigenvectors[-1].conj().T @ knot.eigenvectors[-1]) ** 2
+        pair = overlap.argmax(axis=0)
+        assert sorted(pair) == list(range(dim))
+        np.testing.assert_allclose(knot.alphas[-1], full.alphas[-1][pair], rtol=0.0, atol=1e-11)
+        assert knot.windings[-1].tolist() == full.windings[-1][pair].tolist()
+        t_end = traj.times[-1]
+        np.testing.assert_allclose(
+            action_at(knot, t_end).matrix, action_at(full, t_end).matrix, rtol=0.0, atol=1e-11
+        )
+
+        got = effort_report(h, psi0, 1.0).to_json()
+        # evolve is deterministic: full tracks the report's own trajectory.
+        monkeypatch.setattr(effort_module, "_track_knots", lambda _: full)
+        want = effort_report(h, psi0, 1.0).to_json()
+        for field in ("alpha_action_expectation", "max_pairwise_discrepancy"):
+            assert got.pop(field) == pytest.approx(want.pop(field), rel=0.0, abs=1e-11)
+        assert got == want
+
+    @pytest.mark.parametrize("how", ["turn-45", "turn-45-tied", "jump"])
+    def test_failure_at_every_stride_is_track_actions(self, how):
+        traj = _failing_at_the_last_step(how)
+        assert _first_stride(traj) == 39
+        with pytest.raises(NumericalError) as want:
+            track_action(traj)
+        with pytest.raises(NumericalError) as got:
+            action_module._track_knots(traj)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        if isinstance(want.value, AmbiguousMatchError):
+            assert (got.value.step, got.value.time) == (want.value.step, want.value.time) == (40, 0.4)
+        else:
+            assert "at step 40 (t = 0.4)" in str(want.value)
+
+    def test_non_permutation_argmax_refines(self):
+        traj = _basis_turning_faster_than_phases()
+        knot = action_module._track_knots(traj)
+        assert (_first_stride(traj), _stride_used(traj, knot)) == (39, 9)
+        full = track_action(traj)
+        np.testing.assert_allclose(
+            action_at(knot, 2.0).matrix, action_at(full, 2.0).matrix, rtol=0.0, atol=1e-11
+        )
+
+    def test_swap_near_minus_identity_is_refined(self, monkeypatch):
+        # 2 sz for 0.025, then 2 sx: U passes within about 0.05 of -I, where
+        # the two channels sit a winding apart. Across that point one
+        # 785-sample knot step turns the eigenbasis by about 150 degrees
+        # into a clean, unrefused swap that would move A by 2 pi.
+        h = piecewise_hamiltonian([(0.025, 2.0 * SIGMA_Z), (1.975, 2.0 * SIGMA_X)])
+        psi0 = np.array([np.cos(0.3), np.sin(0.3)])
+        traj = evolve(h, 2.0)
+        knot = action_module._track_knots(traj)
+        full = track_action(traj)
+        assert _stride_used(traj, knot) == _first_stride(traj) == 785
+        assert len(knot.times) > len(traj.times[::785]) + 1
+        np.testing.assert_allclose(
+            action_at(knot, 2.0).matrix, action_at(full, 2.0).matrix, rtol=0.0, atol=1e-11
+        )
+        got = effort_report(h, psi0, 2.0).alpha_action_expectation
+        monkeypatch.setattr(effort_module, "_track_knots", track_action)
+        want = effort_report(h, psi0, 2.0).alpha_action_expectation
+        assert got == pytest.approx(want, rel=0.0, abs=1e-11)
+
+    def test_step_above_the_density_rule_tracks_every_sample(self, monkeypatch):
+        # max_step 0.25 against the rule's pi / 16: the stride is 1, and the
+        # report is the one every-sample tracking gives, bit for bit.
+        rng = np.random.default_rng(7)
+        h = constant_hamiltonian(random_hermitian(rng, 4, 2.0))
+        psi0 = random_state(rng, 4)
+        policy = StepPolicy(max_step=0.25)
+        traj = evolve(h, 2.0, policy)
+        knot = action_module._track_knots(traj)
+        full = track_action(traj)
+        assert _stride_used(traj, knot) == 1
+        for field in ("alphas", "windings", "eigenvectors", "degenerate"):
+            np.testing.assert_array_equal(getattr(knot, field), getattr(full, field))
+        got = effort_report(h, psi0, 2.0, policy=policy).to_json()
+        monkeypatch.setattr(effort_module, "_track_knots", track_action)
+        assert got == effort_report(h, psi0, 2.0, policy=policy).to_json()
+
+    def test_without_motion_the_knots_are_the_endpoints(self):
+        traj = evolve(constant_hamiltonian(np.zeros((3, 3))), 1.0)
+        knot = action_module._track_knots(traj)
+        assert knot.times.tolist() == [0.0, 1.0]
+        np.testing.assert_array_equal(knot.alphas, 0.0)
+
+    def test_refinement_imports_no_scipy(self):
+        # effort_report on the refining drive, and the knot tracker on a
+        # first knot step whose argmax is not a permutation, in a fresh
+        # interpreter: neither may reach the assignment solver.
+        tests = str(Path(__file__).resolve().parent)
+        src = str(Path(action_module.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys, qeffort, test_action as t\n"
+            "h, psi0 = t._knot_drive(16, 'piecewise')\n"
+            "qeffort.effort_report(h, psi0, 1.0)\n"
+            "traj = qeffort.evolve(h, 1.0)\n"
+            "print(t._stride_used(traj, t.action_module._track_knots(traj)))\n"
+            "traj = t._basis_turning_faster_than_phases()\n"
+            "print(t._stride_used(traj, t.action_module._track_knots(traj)))\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["196", "9", "False"]

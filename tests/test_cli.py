@@ -12,7 +12,16 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import qeffort
-from qeffort import exp_i, matrix_from_json, matrix_to_json, state_to_json
+import qeffort.cli as cli_module
+from qeffort import (
+    evolve,
+    exp_i,
+    export_state_trace_csv,
+    matrix_from_json,
+    matrix_to_json,
+    state_to_json,
+    state_trajectory,
+)
 from qeffort.cli import main
 
 
@@ -278,8 +287,64 @@ class TestFailureExitCodes:
         assert main([path, "--step", "1e-13"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    # Both durations ask for petabytes; the planners refuse before allocating.
+    @pytest.mark.parametrize(
+        "problem, needs",
+        [
+            (
+                {"task": "effort", "t_end": 1e12, "initial_state": plus_state()},
+                "evolving to t_end = 1000000000000.0 needs 4000000000000001 samples",
+            ),
+            (
+                {"task": "ml-check", "t_max": 1e12, "initial_state": plus_state()},
+                "orthogonality scan to t_max = 1000000000000.0 needs",
+            ),
+        ],
+        ids=["effort-t_end", "ml-check-t_max"],
+    )
+    def test_duration_beyond_physical_memory(self, tmp_path, capsys, problem, needs):
+        path = write_problem(tmp_path, "big.json", {"hamiltonian": diag_h(1.0, 0.0), **problem})
+        assert main([path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {needs}")
+        assert "bytes), more than the" in err and "bytes of physical memory" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("task, field", [("effort", "t_end"), ("ml-check", "t_max")])
+    def test_infinite_duration(self, tmp_path, capsys, task, field):
+        problem = {"task": task, "hamiltonian": diag_h(1.0, 0.0), "initial_state": plus_state()}
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps({**problem, field: float("inf")}))  # written as Infinity
+        assert main([str(path)]) == 2
+        assert f"{field} must be finite, got inf" in capsys.readouterr().err
+
 
 class TestCsvTasks:
+    def test_effort_csv_evolves_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "evolve", counted)
+        out = tmp_path / "trace.csv"
+        problem = {
+            "task": "effort",
+            "hamiltonian": diag_h(1.0, 0.0),
+            "t_end": 0.05,
+            "initial_state": plus_state(),
+        }
+        path = write_problem(
+            tmp_path, "problem.json", {**problem, "output": {"format": "csv", "path": str(out)}}
+        )
+        assert main([path, "--quiet"]) == 0
+        assert len(calls) == 1
+        expected = tmp_path / "expected.csv"
+        states = state_trajectory(evolve(*calls[0]), np.array([1.0, 1.0]) / np.sqrt(2.0))
+        export_state_trace_csv(expected, states)
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_berry_csv(self, tmp_path, capsys):
         out = tmp_path / "berry.csv"
         path = write_problem(
