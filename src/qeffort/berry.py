@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effort import blockwise_energy_integral
+from .effort import _energy_integral
 from .evolution import evolve
 from .linalg import fold_angle, unitary_eigenphases
 from .serialize import write_csv
@@ -55,8 +55,9 @@ def aa_phase_check(h, tau: float, policy=None) -> BerryCheckResult:
     """
     traj = evolve(h, tau, policy)
     phi_principal, vectors, degenerate = unitary_eigenphases(traj.unitaries[-1])
-    channel_states = traj.unitaries @ vectors
-    alphas = blockwise_energy_integral(traj, channel_states)
+    # The channel states U(t) v_j, built one bounded chunk of samples at a time.
+    d, u = traj.dim, traj.unitaries
+    alphas = _energy_integral(traj, lambda k: (u[k].reshape(-1, d) @ vectors).reshape(-1, d, d), d)
     phases = -phi_principal
     return BerryCheckResult(
         tau=float(tau),

@@ -21,7 +21,7 @@ import numpy as np
 from .action import ActionOperator, _track_knots, action_expectation
 from .errors import ValidationError
 from .evolution import StateTrajectory, evolve, state_trajectory
-from .linalg import as_state, check_hermitian, check_unitary
+from .linalg import as_state, check_hermitian, check_unitary, stack_chunks
 from .serialize import write_csv
 
 TRACE_CSV_COLUMNS = ("time", "basis_index", "re", "im")
@@ -124,13 +124,42 @@ def area_swept(states, basis=None) -> float:
     return float(0.5 * np.where(uniform, (4.0 * fine - coarse) / 3.0, fine).sum())
 
 
-def _simpson_uniform(y: np.ndarray, dx: float) -> np.ndarray:
-    n = y.shape[0] - 1
-    if n < 2 or n % 2:
+def _energy_integral(traj, states_at, channels: int) -> np.ndarray:
+    """Blockwise Simpson integral of <psi| H(t) |psi> dt for each channel.
+
+    states_at(samples) gives the (len(samples), d, channels) states there,
+    one bounded chunk at a time. A boundary sample counts once per block, so
+    jumps of H(t) never fall inside a panel. No H(t) is built: on a linear
+    block <H(t)> = (1 - w) <H0> + w <H1>, one product per run of a block's
+    states with [H0^T | H1^T]. The Simpson weights apply in one pass.
+    """
+    i0, i1, descs = zip(*traj.blocks)
+    i0, i1 = np.array(i0), np.array(i1)
+    n = i1 - i0
+    if (n < 2).any() or (n % 2).any():
         raise ValidationError("Simpson rule needs an even, nonzero step count")
-    return (dx / 3.0) * (
-        y[0] + y[-1] + 4.0 * y[1:-1:2].sum(axis=0) + 2.0 * y[2:-1:2].sum(axis=0)
-    )
+    block = np.repeat(np.arange(n.size), n + 1)
+    sample = np.arange(block.size) - block
+    k = sample - i0[block]
+    simpson = np.where(k % 2, 4.0, np.where((k == 0) | (k == n[block]), 1.0, 2.0))
+    weights = simpson * ((traj.times[i1] - traj.times[i0]) / n / 3.0)[block]
+    # A constant block is the linear one from H to H over [0, inf): w = 0.
+    t0, h0, t1, h1 = zip(*(c[1:] if c[0] == "lin" else (0.0, c[1], np.inf, c[1]) for c in descs))
+    t0, t1 = np.array(t0), np.array(t1)
+    w = ((traj.times[sample] - t0[block]) / (t1 - t0)[block])[:, None]
+    pairs = [np.concatenate((a.T, b.T), axis=1) for a, b in zip(h0, h1)]
+    d = traj.dim
+    energies = np.empty((sample.size, channels))
+    for part in stack_chunks(sample.size, d):
+        rows = np.swapaxes(states_at(sample[part]), 1, 2).reshape(-1, d)
+        h_rows = np.empty((rows.shape[0], 2 * d), dtype=complex)
+        cuts = [0, *(np.flatnonzero(np.diff(block[part])) + 1) * channels, rows.shape[0]]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            np.matmul(rows[a:b], pairs[block[part][a // channels]], out=h_rows[a:b])
+        e = np.einsum("ri,rji->rj", rows.conj(), h_rows.reshape(-1, 2, d)).real
+        e = e.reshape(-1, channels, 2)
+        energies[part] = (1.0 - w[part]) * e[..., 0] + w[part] * e[..., 1]
+    return weights @ energies
 
 
 def blockwise_energy_integral(traj, states: np.ndarray):
@@ -144,19 +173,9 @@ def blockwise_energy_integral(traj, states: np.ndarray):
     states = np.asarray(states, dtype=complex)
     if states.shape[0] != traj.times.shape[0]:
         raise ValidationError("states are not aligned with the trajectory samples")
-    total = np.zeros(states.shape[2:])
-    for i0, i1, desc in traj.blocks:
-        sub = states[i0 : i1 + 1]
-        dt = (traj.times[i1] - traj.times[i0]) / (i1 - i0)
-        if desc[0] == "const":
-            e = np.einsum("ti...,ij,tj...->t...", sub.conj(), desc[1], sub).real
-        else:
-            _, t0, h0, t1, h1 = desc
-            w = (traj.times[i0 : i1 + 1] - t0) / (t1 - t0)
-            h_arr = (1.0 - w)[:, None, None] * h0 + w[:, None, None] * h1
-            e = np.einsum("ti...,tij,tj...->t...", sub.conj(), h_arr, sub).real
-        total = total + _simpson_uniform(e, dt)
-    return float(total) if total.ndim == 0 else total
+    flat = states.reshape(states.shape[:2] + (-1,))
+    total = _energy_integral(traj, flat.__getitem__, flat.shape[2])
+    return float(total[0]) if states.ndim == 2 else total.reshape(states.shape[2:])
 
 
 def effort_energy_integral(h, psi0, t_end: float, policy=None) -> float:

@@ -8,11 +8,11 @@ and second-order accurate.
 
 The midpoint rule runs as a batched stage over all linear blocks at once:
 the midpoint Hamiltonians of a bounded chunk of steps are built as array
-operations and exponentiated with one stacked eigh, and unitarity drift
-is checked in one batch per window of chained steps. Only the chain
-product U <- step @ U (with its scheduled polishes) stays a per-step
-loop. It gives the same numbers, bit for bit, as stepping one
-exponential at a time.
+operations and exponentiated by one stacked Taylor polynomial, and
+unitarity drift is checked in one batch per window of chained steps. Only
+the chain product U <- step @ U (with its scheduled polishes) stays a
+per-step loop. It gives the same numbers, bit for bit, as stepping the
+same polynomial one exponential at a time.
 
 Sample grids are built per uniform block (one block per constant span or
 interpolation interval), with an even number of steps per block so that
@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .linalg import as_state, check_hermitian, exp_i_stack, reunitarize, stack_chunks
+from .linalg import _exp_i_taylor, as_state, check_hermitian, reunitarize, stack_chunks
 
 #: Upper bound on the automatic step size. Chosen so that the four effort
 #: estimators (each with an independent O(step^2) quadrature error) agree
@@ -322,21 +322,15 @@ class _Block(NamedTuple):
     dur: float
     desc: tuple
 
-    @property
-    def dt(self) -> float:
-        return self.dur / self.n
-
-    def local_times(self) -> np.ndarray:
-        """Offsets from t0 of the block's samples after its first."""
-        return np.linspace(0.0, self.dur, self.n + 1)[1:]
-
 
 def _midpoint_blocks(blocks, unitaries, policy: StepPolicy) -> None:
     """Midpoint rule over the linear blocks of a plan, written into unitaries.
 
     unitaries[0] must already hold the identity. The step propagators
     exp_i(H(t0 + (k + 1/2) dt) dt) of a bounded chunk of steps (which may
-    span blocks) come from one stacked eigh. Every step's product is
+    span blocks) come from one stacked Taylor polynomial, of a degree fixed
+    by the largest knot 1-norm times the largest step: by convexity, a bound
+    on every midpoint exponent. Every step's product is
     drift-checked; a polish fires at the first step over tolerance, or when
     the schedule, restarted at each block, comes due.
     """
@@ -346,10 +340,11 @@ def _midpoint_blocks(blocks, unitaries, policy: StepPolicy) -> None:
     ends = np.cumsum(counts)
     starts = ends - counts
     t0, dt, a0, a1 = map(
-        np.array, zip(*((b.t0, b.dt, b.desc[1], b.desc[3]) for b in blocks))
+        np.array, zip(*((b.t0, b.dur / b.n, b.desc[1], b.desc[3]) for b in blocks))
     )
     h0 = np.stack([b.desc[2] for b in blocks])
     h1 = np.stack([b.desc[4] for b in blocks])
+    bound = float(np.abs(np.concatenate((h0, h1))).sum(axis=1).max() * dt.max())
 
     u = unitaries[0]
     since = 0
@@ -363,7 +358,7 @@ def _midpoint_blocks(blocks, unitaries, policy: StepPolicy) -> None:
         w = (t0[blk] + (k + 0.5) * dt[blk] - a0[blk]) / (a1[blk] - a0[blk])
         w = w[:, None, None]
         h_mid = (1.0 - w) * h0[blk] + w * h1[blk]
-        steps = exp_i_stack(h_mid * dt[blk, None, None])
+        steps = _exp_i_taylor(h_mid * dt[blk, None, None], bound)
         first_step = (k == 0).tolist()
         g = part.start
         while g < part.stop:
@@ -431,18 +426,19 @@ def evolve(
         idx += n
 
     check_memory(idx + 1, (idx + 1) * (8 + 16 * h.dim * h.dim), f"evolving to t_end = {t_end!r}")
-    times = np.empty(idx + 1)
-    times[0] = 0.0
+    times = np.zeros(idx + 1)
     unitaries = np.empty((idx + 1, h.dim, h.dim), dtype=complex)
     unitaries[0] = np.eye(h.dim)
+    # One linspace per group of equal blocks (the same steps and duration).
+    offsets = {(n, t): np.linspace(0.0, t, n + 1)[1:] for n, t in {(b.n, b.dur) for b in plan}}
     for b in plan:
-        times[b.start + 1 : b.start + b.n + 1] = b.t0 + b.local_times()
+        times[b.start + 1 : b.start + b.n + 1] = b.t0 + offsets[b.n, b.dur]
     if h.kind == "interpolated":
         _midpoint_blocks(plan, unitaries, policy)
     else:
         for b in plan:
             unitaries[b.start + 1 : b.start + b.n + 1] = _spectral_samples(
-                b.desc[1], b.local_times(), unitaries[b.start]
+                b.desc[1], offsets[b.n, b.dur], unitaries[b.start]
             )
 
     return UnitaryTrajectory(

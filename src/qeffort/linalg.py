@@ -264,6 +264,32 @@ def exp_i_stack(a_stack) -> np.ndarray:
     return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
+# theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488, Table 3.1: the degree-m
+# Taylor polynomial of e^X is exact to unit roundoff for ||X||_1 <= theta_m (up to m = 18).
+_TAYLOR_THETA = (2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2,
+                 1.44e-1, 2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09)
+
+
+def _exp_i_taylor(a_stack, bound: float) -> np.ndarray:
+    """exp_i over a stack of Hermitian A with ||A||_1 <= bound, unitary to rounding.
+
+    bound alone fixes the fewest squarings s, then the lowest degree m, with
+    bound / 2^s <= theta_m, so a matrix gets the same arithmetic in any stack.
+    """
+    s = 0
+    while _TAYLOR_THETA[-1] * 2**s < bound:
+        s += 1
+    m = next(m for m, theta in enumerate(_TAYLOR_THETA, 1) if theta * 2**s >= bound)
+    x = (1j / 2**s) * np.asarray(a_stack)
+    eye = np.eye(x.shape[-1])
+    t = x / m + eye
+    for k in range(m - 1, 0, -1):
+        t = x @ t / k + eye
+    for _ in range(s):
+        t = t @ t
+    return t
+
+
 def principal_log_unitary(u) -> np.ndarray:
     """Hermitian A with e^{iA} = U and all eigenvalues in (-pi, pi].
 

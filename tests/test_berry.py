@@ -1,5 +1,7 @@
 """Cyclic-state geometric phase residuals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,13 @@ from qeffort import (
     SIGMA_X,
     StepPolicy,
     aa_phase_check,
+    blockwise_energy_integral,
     constant_hamiltonian,
+    evolve,
     export_berry_csv,
+    interpolated_hamiltonian,
     piecewise_hamiltonian,
+    unitary_eigenphases,
 )
 from conftest import driven_qubit_trajectory, random_hermitian
 
@@ -82,3 +88,42 @@ class TestCsvExport:
         row = lines[1].split(",")
         assert row[0] == "0"
         assert float(row[3]) == pytest.approx(result.beta_residuals[0], abs=1e-15)
+
+class TestStreamedChannelEnergies:
+    @pytest.mark.parametrize("dim, kind", [(2, "spin"), (16, "interpolated"), (3, "piecewise")])
+    def test_match_the_public_integral_of_the_channel_stack(self, dim, kind):
+        rng = np.random.default_rng(74)
+        if kind == "spin":
+            h, tau = driven_qubit_trajectory(1.0, 1.3, 2.0, np.pi, 2001), np.pi
+        elif kind == "interpolated":
+            tau = 0.3
+            h = interpolated_hamiltonian(
+                (t, random_hermitian(rng, dim, 1.5)) for t in np.linspace(0.0, tau, 4)
+            )
+        else:
+            tau = 1.0
+            h = piecewise_hamiltonian([(d, random_hermitian(rng, dim)) for d in (0.4, 0.6)])
+        traj = evolve(h, tau)
+        _, vectors, _ = unitary_eigenphases(traj.unitaries[-1])
+        np.testing.assert_allclose(
+            aa_phase_check(h, tau).alphas,
+            blockwise_energy_integral(traj, traj.unitaries @ vectors),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+    def test_peak_memory_stays_near_the_unitary_stack(self):
+        # No (N, d, d) stack beside traj.unitaries: channel states and H(t)
+        # are built one bounded chunk at a time.
+        rng = np.random.default_rng(75)
+        h = interpolated_hamiltonian(
+            (t, random_hermitian(rng, 16, 1.5)) for t in np.linspace(0.0, 1.0, 6)
+        )
+        nbytes = evolve(h, 1.0).unitaries.nbytes
+        tracemalloc.start()
+        try:
+            aa_phase_check(h, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * nbytes

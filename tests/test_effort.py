@@ -21,7 +21,7 @@ from qeffort import (
     piecewise_hamiltonian,
     state_trajectory,
 )
-from conftest import haar_unitary, random_hermitian, random_state
+from conftest import driven_qubit_trajectory, haar_unitary, random_hermitian, random_state
 
 
 def superposition():
@@ -92,6 +92,46 @@ class TestEnergyIntegral:
         traj = evolve(constant_hamiltonian(np.eye(2)), 0.5)
         with pytest.raises(ValidationError, match="not aligned"):
             blockwise_energy_integral(traj, np.zeros((3, 2), dtype=complex))
+
+
+def looped_energy_integral(traj, states):
+    """Per-block H(t) expectations, each block's Simpson sum added in turn."""
+    total = 0.0
+    for i0, i1, desc in traj.blocks:
+        sub = states[i0 : i1 + 1]
+        if desc[0] == "const":
+            h_arr = np.broadcast_to(desc[1], (i1 - i0 + 1,) + desc[1].shape)
+        else:
+            _, t0, h0, t1, h1 = desc
+            w = (traj.times[i0 : i1 + 1] - t0) / (t1 - t0)
+            h_arr = (1.0 - w)[:, None, None] * h0 + w[:, None, None] * h1
+        e = np.einsum("ti...,tij,tj...->t...", sub.conj(), h_arr, sub).real
+        dx = (traj.times[i1] - traj.times[i0]) / (i1 - i0)
+        total = total + (dx / 3.0) * (
+            e[0] + e[-1] + 4.0 * e[1:-1:2].sum(axis=0) + 2.0 * e[2:-1:2].sum(axis=0)
+        )
+    return total
+
+
+class TestVectorisedSimpson:
+    @pytest.mark.parametrize("drive", ["spin", "piecewise"])
+    def test_matches_the_per_block_loop(self, drive):
+        rng = np.random.default_rng(44)
+        if drive == "spin":
+            h, t_end = driven_qubit_trajectory(1.0, 1.3, 2.0, np.pi, 2001), np.pi
+        else:
+            h = piecewise_hamiltonian([(d, random_hermitian(rng, 3, 2.0)) for d in (0.3, 0.45, 0.5)])
+            t_end = 1.25
+        traj = evolve(h, t_end)
+        psi = state_trajectory(traj, random_state(rng, h.dim)).states
+        channels = traj.unitaries @ haar_unitary(rng, h.dim)
+        assert abs(blockwise_energy_integral(traj, psi) - looped_energy_integral(traj, psi)) < 1e-13
+        np.testing.assert_allclose(
+            blockwise_energy_integral(traj, channels),
+            looped_energy_integral(traj, channels),
+            rtol=0.0,
+            atol=1e-13,
+        )
 
 
 class TestEstimatorAgreement:

@@ -21,6 +21,7 @@ from qeffort import (
     state_trajectory,
 )
 from qeffort.evolution import _drift, _first_drift
+from qeffort.linalg import _TAYLOR_THETA, _exp_i_taylor
 from conftest import (
     driven_qubit_exact,
     driven_qubit_hamiltonian,
@@ -179,6 +180,18 @@ class TestDrivenQubitOracle:
         )
         assert err < 1e-6
 
+    def test_sample_times_are_the_per_block_linspace(self):
+        # The 2,001-knot spin: 2,000 blocks, but few distinct (steps,
+        # duration) groups, each sharing one linspace.
+        h = driven_qubit_trajectory(1.0, 1.3, 2.0, np.pi, 2001)
+        traj = evolve(h, np.pi)
+        want = [np.array([0.0])]
+        for i0, i1, desc in traj.blocks:
+            t0, dur = max(desc[1], 0.0), min(desc[3], np.pi) - max(desc[1], 0.0)
+            want.append(t0 + np.linspace(0.0, dur, i1 - i0 + 1)[1:])
+        assert len(traj.blocks) == 2000
+        np.testing.assert_array_equal(traj.times, np.concatenate(want))
+
     def test_midpoint_rule_is_second_order(self):
         # Knots placed on the step grid so max_step controls the actual step.
         a, b, omega = 1.1, 0.7, 1.9
@@ -280,32 +293,41 @@ class TestStates:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def reference_midpoint_evolve(h, t_end, policy):
+def reference_midpoint_evolve(h, t_end, policy, exponential=None):
     """The per-step midpoint loop that evolve's batched stage replaced.
 
-    One exp_i, one chain product and one drift check per step, for an
-    interpolated drive. Returns (times, unitaries, blocks, drift_polishes),
-    the last counting polishes that fired on drift alone.
+    One step exponential, one chain product and one drift check per step,
+    for an interpolated drive. The step is evolve's Taylor polynomial with
+    the same bound (largest knot 1-norm times largest step), unless
+    `exponential` replaces it. Returns (times, unitaries, blocks,
+    drift_polishes), the last counting polishes that fired on drift alone.
     """
     hmax = max(float(np.linalg.norm(m, 2)) for _, m in h.samples)
     cap = policy.max_step or min(DEFAULT_MAX_STEP, math.pi / (8.0 * hmax))
     dim = h.dim
+    intervals = []
+    for (a0, h0), (a1, h1) in zip(h.samples[:-1], h.samples[1:]):
+        t0, t1 = max(a0, 0.0), min(a1, t_end)
+        if t1 > t0:
+            n = max(2, math.ceil((t1 - t0) / cap))
+            intervals.append((a0, h0, a1, h1, t0, t1 - t0, n + n % 2))
+    bound = max(max(np.linalg.norm(iv[1], 1), np.linalg.norm(iv[3], 1)) for iv in intervals)
+    bound *= max(dur / n for *_, dur, n in intervals)
+    if exponential is None:
+
+        def exponential(a):
+            return _exp_i_taylor(a[None], bound)[0]
+
     times, unitaries, blocks = [np.array([0.0])], [np.eye(dim, dtype=complex)[None]], []
     u_cur = np.eye(dim, dtype=complex)
     idx = drift_polishes = 0
-    for (a0, h0), (a1, h1) in zip(h.samples[:-1], h.samples[1:]):
-        t0, t1 = max(a0, 0.0), min(a1, t_end)
-        if t1 <= t0:
-            continue
-        dur = t1 - t0
-        n = max(2, math.ceil(dur / cap))
-        n += n % 2
+    for a0, h0, a1, h1, t0, dur, n in intervals:
         dt = dur / n
         batch = np.empty((n, dim, dim), dtype=complex)
         since_polish = 0
         for k in range(n):
             w = (t0 + (k + 0.5) * dt - a0) / (a1 - a0)
-            u_cur = exp_i(((1.0 - w) * h0 + w * h1) * dt) @ u_cur
+            u_cur = exponential(((1.0 - w) * h0 + w * h1) * dt) @ u_cur
             since_polish += 1
             drift = np.linalg.norm(u_cur.conj().T @ u_cur - np.eye(dim))
             if drift > policy.tolerance or since_polish >= policy.reunitarize_every:
@@ -331,6 +353,9 @@ class TestBatchedMidpointStage:
         np.testing.assert_array_equal(traj.times, times)
         np.testing.assert_array_equal(traj.unitaries, unitaries)
         assert [(a, b) for a, b, _ in traj.blocks] == blocks
+        # And against exp_i per step: the polynomial agrees to rounding.
+        _, spectral, _, _ = reference_midpoint_evolve(h, t_end, policy, exp_i)
+        np.testing.assert_allclose(traj.unitaries, spectral, rtol=0.0, atol=1e-11)
         return traj, drift_polishes
 
     def test_d16_blocks_and_chunks_split_each_other(self):
@@ -364,12 +389,12 @@ class TestBatchedMidpointStage:
 
     @pytest.mark.parametrize("dim, every", [(2, 7), (2, 50), (16, 50)])
     def test_drift_polishes_fire_mid_segment(self, dim, every):
-        # A tolerance at the rounding level: some steps drift past it and are
-        # polished between scheduled polishes, others do not.
+        # A tolerance at the Taylor step's rounding level: some steps drift
+        # past it and are polished between scheduled polishes, others do not.
         rng = np.random.default_rng(34)
         knots = np.linspace(0.0, 0.3, 4)
         h = interpolated_hamiltonian((t, random_hermitian(rng, dim, 1.5)) for t in knots)
-        policy = StepPolicy(max_step=1e-3, tolerance=1.5e-15 * dim, reunitarize_every=every)
+        policy = StepPolicy(max_step=1e-3, tolerance=3e-16 * dim, reunitarize_every=every)
         traj, drift_polishes = self.assert_matches_reference(h, 0.3, policy)
         assert 0 < drift_polishes < len(traj.times) // 2
 
@@ -380,6 +405,18 @@ class TestBatchedMidpointStage:
         policy = StepPolicy(max_step=1e-3, tolerance=1e-30, reunitarize_every=5)
         traj, drift_polishes = self.assert_matches_reference(h, 0.2, policy)
         assert drift_polishes > len(traj.times) // 2
+
+    def test_squaring_steps_match_the_spectral_loop(self):
+        # Steps long enough that largest knot 1-norm times step exceeds the
+        # top theta, so every step exponential squares.
+        rng = np.random.default_rng(37)
+        knots = np.linspace(0.0, 6.0, 4)
+        h = interpolated_hamiltonian((t, random_hermitian(rng, 4, 1.5)) for t in knots)
+        policy = StepPolicy(max_step=0.5)
+        assert max(np.linalg.norm(m, 1) for _, m in h.samples) * 0.5 > _TAYLOR_THETA[-1]
+        traj = evolve(h, 6.0, policy)
+        _, spectral, _, _ = reference_midpoint_evolve(h, 6.0, policy, exp_i)
+        np.testing.assert_allclose(traj.unitaries, spectral, rtol=0.0, atol=1e-12)
 
     def test_drift_verdict_is_the_per_matrix_drift(self):
         # The batched estimate only preselects; at a tolerance equal to one

@@ -15,6 +15,8 @@ from qeffort import (
     unitary_eigenphases,
 )
 from qeffort.linalg import (
+    _TAYLOR_THETA,
+    _exp_i_taylor,
     _refine_unitary_basis,
     as_state,
     check_hermitian,
@@ -77,6 +79,34 @@ class TestExpI:
                 want = (v * np.exp(1j * w)) @ v.conj().T
                 np.testing.assert_array_equal(got[k], want)
                 np.testing.assert_array_equal(exp_i(a[k]), want)
+
+
+class TestTaylorExponential:
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    @pytest.mark.parametrize("norm", [1e-4, 1e-3, 1e-2, 0.1, 1.0, 3.0])
+    def test_matches_exp_i_and_stays_unitary(self, dim, norm):
+        rng = np.random.default_rng(17)
+        a = np.stack([random_hermitian(rng, dim, norm) for _ in range(5)])
+        bound = max(np.linalg.norm(m, 1) for m in a)
+        got = _exp_i_taylor(a, bound)
+        for k in range(len(a)):
+            np.testing.assert_allclose(got[k], exp_i(a[k]), rtol=0.0, atol=1e-14)
+            drift = np.linalg.norm(got[k].conj().T @ got[k] - np.eye(dim))
+            assert drift < 1e-14
+        if norm == 3.0:  # beyond the top theta: the squaring branch
+            assert bound > _TAYLOR_THETA[-1]
+
+    def test_stack_matches_the_per_matrix_route(self):
+        # One bound gives every matrix the same arithmetic, in any stack.
+        rng = np.random.default_rng(18)
+        a = np.stack([random_hermitian(rng, 8, 1e-3) for _ in range(40)])
+        for bound in (1e-3, 2.5):
+            got = _exp_i_taylor(a, bound)
+            for k in range(len(a)):
+                np.testing.assert_array_equal(got[k], _exp_i_taylor(a[k][None], bound)[0])
+
+    def test_zero_exponent_is_the_identity(self):
+        np.testing.assert_array_equal(_exp_i_taylor(np.zeros((1, 3, 3)), 0.0)[0], np.eye(3))
 
 
 class TestPrincipalLog:
