@@ -21,9 +21,12 @@ downstream Simpson quadrature needs no special casing.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -70,116 +73,98 @@ class StepPolicy:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianTrajectory:
-    """A time-parameterized Hermitian generator H(t).
+    """A time-parameterized Hermitian generator H(t), as a tuple of blocks.
 
-    kind "constant": `matrix` holds H.
-    kind "piecewise": `segments` is a tuple of (duration, H), applied in
-        order starting at t = 0; a boundary instant belongs to the segment
-        that starts there.
-    kind "interpolated": `samples` is a tuple of (time, H) with strictly
-        increasing times; H(t) is the entrywise linear interpolant, defined
-        only inside the sampled range.
+    blocks: contiguous (t0, t1, descriptor) triples in time order. The
+        descriptor is ("const", H), or ("lin", a0, H0, a1, H1) for the
+        entrywise linear interpolant through the knots (a0, H0) and
+        (a1, H1): the descriptors of UnitaryTrajectory.blocks. A boundary
+        instant belongs to the block that starts there, the last block's
+        end to the last block. H(t) is defined on [blocks[0][0],
+        blocks[-1][1]].
+    kind: the constructor that built the blocks, kept for the codec.
+        "constant" is one block (0, inf); "piecewise" is one "const" block
+        per segment, at cumulative times from 0; "interpolated" is one
+        "lin" block per knot interval, with the knots at its ends.
 
     Energies are radians per unit time (hbar = 1).
     """
 
     dim: int
     kind: str
-    matrix: np.ndarray | None = None
-    segments: tuple[tuple[float, np.ndarray], ...] | None = None
-    samples: tuple[tuple[float, np.ndarray], ...] | None = None
+    blocks: tuple
 
     def at(self, t: float) -> np.ndarray:
-        """H(t). For piecewise trajectories, boundaries take the later segment."""
-        if self.kind == "constant":
-            return self.matrix
-        if self.kind == "piecewise":
-            total = self.total_duration()
-            if t < 0.0 or t > total:
-                raise ValidationError(f"t = {t!r} is outside the piecewise range [0, {total!r}]")
-            acc = 0.0
-            for dur, h in self.segments:
-                acc += dur
-                if t < acc or acc == total:
-                    return h
-        times = [s[0] for s in self.samples]
-        if t < times[0] or t > times[-1]:
-            raise ValidationError(
-                f"interpolation query t = {t!r} outside sample range "
-                f"[{times[0]!r}, {times[-1]!r}]"
-            )
-        j = int(np.searchsorted(times, t, side="right"))
-        if j == len(times):
-            return self.samples[-1][1]
-        if j == 0:
-            return self.samples[0][1]
-        t0, h0 = self.samples[j - 1]
-        t1, h1 = self.samples[j]
-        w = (t - t0) / (t1 - t0)
+        """H(t). A block boundary takes the block that starts there."""
+        lo, hi = self.blocks[0][0], self.blocks[-1][1]
+        if not lo <= t <= hi:
+            raise ValidationError(f"t = {t!r} is outside the {self.kind} range [{lo!r}, {hi!r}]")
+        _, _, desc = self.blocks[bisect.bisect_right(self.blocks, t, key=itemgetter(0)) - 1]
+        if desc[0] == "const":
+            return desc[1]
+        _, a0, h0, a1, h1 = desc
+        w = (t - a0) / (a1 - a0)
         return (1.0 - w) * h0 + w * h1
 
     def total_duration(self) -> float:
         if self.kind != "piecewise":
             raise ValidationError("total_duration is defined for piecewise trajectories")
-        return float(sum(d for d, _ in self.segments))
+        return self.blocks[-1][1]
 
     def spectral_norm_max(self) -> float:
         """Max spectral norm of H over its definition range.
 
-        Exact for all three kinds: a linear interpolant's norm is bounded
-        by the larger endpoint norm (convexity of the operator norm).
+        Exact: a linear interpolant's norm is bounded by the larger knot
+        norm (convexity of the operator norm). Each block's closing matrix
+        and the first block's opening one cover every knot once.
         """
-        if self.kind == "constant":
-            mats = [self.matrix]
-        elif self.kind == "piecewise":
-            mats = [h for _, h in self.segments]
-        else:
-            mats = [h for _, h in self.samples]
+        mats = [b[2][-1] for b in self.blocks]
+        mats.append(next(m for m in self.blocks[0][2] if isinstance(m, np.ndarray)))
         return float(np.linalg.norm(np.stack(mats), 2, axis=(1, 2)).max())
 
 
 def constant_hamiltonian(h) -> HamiltonianTrajectory:
     h = check_hermitian(h, name="Hamiltonian")
-    return HamiltonianTrajectory(dim=h.shape[0], kind="constant", matrix=h)
+    return HamiltonianTrajectory(h.shape[0], "constant", ((0.0, math.inf, ("const", h)),))
+
+
+def _checked_pairs(pairs, what: str, scalar: str) -> list[tuple[float, np.ndarray]]:
+    """(float(x), H) of (x, H) pairs, each H Hermitian and all of one dimension."""
+    knots = []
+    for k, (x, h) in enumerate(pairs):
+        try:
+            x = float(x)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{what} {k} {scalar} must be a number, got {x!r}") from None
+        h = check_hermitian(h, name=f"{what} {k} Hamiltonian")
+        if knots and h.shape != knots[0][1].shape:
+            raise ValidationError(f"{what} dimensions disagree")
+        knots.append((x, h))
+    return knots
 
 
 def piecewise_hamiltonian(segments) -> HamiltonianTrajectory:
     """Build a piecewise-constant trajectory from (duration, H) pairs."""
-    segs = []
-    dim = None
-    for k, (dur, h) in enumerate(segments):
+    segs = _checked_pairs(segments, "segment", "duration")
+    for k, (dur, _) in enumerate(segs):
         if not dur > 0.0:
             raise ValidationError(f"segment {k} has non-positive duration {dur!r}")
-        h = check_hermitian(h, name=f"segment {k} Hamiltonian")
-        if dim is None:
-            dim = h.shape[0]
-        elif h.shape[0] != dim:
-            raise ValidationError("segment dimensions disagree")
-        segs.append((float(dur), h))
     if not segs:
         raise ValidationError("piecewise trajectory needs at least one segment")
-    return HamiltonianTrajectory(dim=dim, kind="piecewise", segments=tuple(segs))
+    ends = list(accumulate((dur for dur, _ in segs), initial=0.0))
+    blocks = tuple((t0, t1, ("const", h)) for t0, t1, (_, h) in zip(ends, ends[1:], segs))
+    return HamiltonianTrajectory(segs[0][1].shape[0], "piecewise", blocks)
 
 
 def interpolated_hamiltonian(samples) -> HamiltonianTrajectory:
     """Build a linearly interpolated trajectory from (time, H) pairs."""
-    pts = []
-    dim = None
-    prev_t = None
-    for k, (t, h) in enumerate(samples):
-        h = check_hermitian(h, name=f"sample {k} Hamiltonian")
-        if dim is None:
-            dim = h.shape[0]
-        elif h.shape[0] != dim:
-            raise ValidationError("sample dimensions disagree")
-        t = float(t)
-        if prev_t is not None and t <= prev_t:
-            raise ValidationError("sample times must be strictly increasing")
-        prev_t = t
-        pts.append((t, h))
+    pts = _checked_pairs(samples, "sample", "time")
+    if any(not t1 > t0 for (t0, _), (t1, _) in zip(pts, pts[1:])):
+        raise ValidationError("sample times must be strictly increasing")
     if len(pts) < 2:
         raise ValidationError("interpolated trajectory needs at least two samples")
-    return HamiltonianTrajectory(dim=dim, kind="interpolated", samples=tuple(pts))
+    blocks = tuple((a0, a1, ("lin", a0, h0, a1, h1)) for (a0, h0), (a1, h1) in zip(pts, pts[1:]))
+    return HamiltonianTrajectory(pts[0][1].shape[0], "interpolated", blocks)
 
 
 def sample_index(times: np.ndarray, t: float, owner: str) -> int:
@@ -246,40 +231,6 @@ def _effective_max_step(hmax: float, policy: StepPolicy) -> float:
     if hmax <= 0.0:
         return DEFAULT_MAX_STEP
     return min(DEFAULT_MAX_STEP, math.pi / (8.0 * hmax))
-
-
-def _block_plan(h: HamiltonianTrajectory, t_end: float):
-    """Split [0, t_end] into uniform blocks with per-block H descriptors."""
-    if h.kind == "constant":
-        return [(0.0, t_end, ("const", h.matrix))]
-    if h.kind == "piecewise":
-        blocks = []
-        acc = 0.0
-        for dur, mat in h.segments:
-            if acc >= t_end:
-                break
-            stop = min(acc + dur, t_end)
-            blocks.append((acc, stop, ("const", mat)))
-            acc += dur
-        if acc < t_end and not math.isclose(acc, t_end, rel_tol=0.0, abs_tol=1e-12):
-            raise ValidationError(
-                f"piecewise trajectory covers [0, {acc!r}] but t_end = {t_end!r}"
-            )
-        return blocks
-    times = [s[0] for s in h.samples]
-    if times[0] > 0.0 or times[-1] < t_end:
-        raise ValidationError(
-            f"interpolated samples cover [{times[0]!r}, {times[-1]!r}], "
-            f"need [0, {t_end!r}]"
-        )
-    blocks = []
-    for (t0, h0), (t1, h1) in zip(h.samples[:-1], h.samples[1:]):
-        lo = max(t0, 0.0)
-        hi = min(t1, t_end)
-        if hi <= lo:
-            continue
-        blocks.append((lo, hi, ("lin", t0, h0, t1, h1)))
-    return blocks
 
 
 def _spectral_samples(h_mat, local_times, u_start):
@@ -399,7 +350,9 @@ def evolve(
     propagation per block). Interpolated generators step with
     U(t + dt) = exp_i(H(t + dt/2) dt) U(t), re-unitarized on the policy
     schedule. The default policy samples densely enough that successive
-    eigenphases of U move by less than pi/4 per step.
+    eigenphases of U move by less than pi/4 per step. h's blocks must
+    cover [0, t_end]; one that ends at most 1e-12 short ends the
+    trajectory there.
     """
     if not t_end > 0.0:
         raise ValidationError(f"t_end must be positive, got {t_end!r}")
@@ -410,9 +363,15 @@ def evolve(
     h_norm_max = h.spectral_norm_max()
     cap = _effective_max_step(h_norm_max, policy)
 
+    lo, hi = h.blocks[0][0], h.blocks[-1][1]
+    if lo > 0.0 or (hi < t_end and not math.isclose(hi, t_end, rel_tol=0.0, abs_tol=1e-12)):
+        raise ValidationError(f"{h.kind} trajectory covers [{lo!r}, {hi!r}], need [0, {t_end!r}]")
     plan = []
     idx = 0
-    for t0, t1, desc in _block_plan(h, t_end):
+    for t0, t1, desc in h.blocks:
+        t0, t1 = max(t0, 0.0), min(t1, t_end)
+        if t1 <= t0:
+            continue
         dur = t1 - t0
         n = max(2, math.ceil(dur / cap))
         if n % 2:

@@ -130,7 +130,7 @@ def orthogonalization_time(h: HamiltonianTrajectory, psi0, t_max: float):
     if not math.isfinite(t_max):
         raise ValidationError(f"t_max must be finite, got {t_max!r}")
     psi0 = as_state(psi0)
-    w, v = np.linalg.eigh(h.matrix)
+    w, v = np.linalg.eigh(h.at(0.0))
     p = np.abs(v.conj().T @ psi0) ** 2
     live = p > 1e-14
     spread = float(w[live].max() - w[live].min()) if live.any() else 0.0
@@ -191,8 +191,9 @@ def ml_check(h: HamiltonianTrajectory, psi0, t_max: float, slack: float = 1e-6) 
     """Measure the orthogonalization time and compare it to the ML bound."""
     t = orthogonalization_time(h, psi0, t_max)
     psi0 = as_state(psi0)
-    w = np.linalg.eigvalsh(h.matrix)
-    e_bar = float(np.vdot(psi0, h.matrix @ psi0).real - w[0])
+    h_mat = h.at(0.0)
+    w = np.linalg.eigvalsh(h_mat)
+    e_bar = float(np.vdot(psi0, h_mat @ psi0).real - w[0])
     bound = (math.pi / (2.0 * e_bar)) if e_bar > 0.0 else None
     ok = t is None or bound is None or t >= bound - slack
     return MLCheck(

@@ -249,19 +249,9 @@ def exp_i(a) -> np.ndarray:
 
     The positive sign in the exponent is the package-wide convention.
     Spectral construction keeps the output unitary by construction.
-    A stack of one through exp_i_stack.
     """
-    return exp_i_stack(check_hermitian(a, name="exponent")[None])[0]
-
-
-def exp_i_stack(a_stack) -> np.ndarray:
-    """exp_i over a stack of exponents, as one batched eigh.
-
-    a_stack: (n, d, d) array of matrices already known to be Hermitian (no
-    per-matrix check). Returns the (n, d, d) stack of e^{+iA_k}.
-    """
-    w, v = np.linalg.eigh(a_stack)
-    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    w, v = np.linalg.eigh(check_hermitian(a, name="exponent"))
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 # theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488, Table 3.1: the degree-m

@@ -56,16 +56,24 @@ def state_from_json(obj, name: str = "state") -> np.ndarray:
 def hamiltonian_to_json(h: HamiltonianTrajectory) -> dict:
     out = {"dim": h.dim, "kind": h.kind}
     if h.kind == "constant":
-        out["matrix"] = matrix_to_json(h.matrix)
+        out["matrix"] = matrix_to_json(h.at(0.0))
     elif h.kind == "piecewise":
         out["segments"] = [
-            {"duration": d, "matrix": matrix_to_json(m)} for d, m in h.segments
+            {"duration": t1 - t0, "matrix": matrix_to_json(desc[1])} for t0, t1, desc in h.blocks
         ]
     else:
-        out["samples"] = [
-            {"time": t, "matrix": matrix_to_json(m)} for t, m in h.samples
-        ]
+        # Each "lin" block's opening knot (a0, H0), then the last one's (a1, H1).
+        knots = [desc[1:3] for *_, desc in h.blocks] + [h.blocks[-1][2][3:]]
+        out["samples"] = [{"time": t, "matrix": matrix_to_json(m)} for t, m in knots]
     return out
+
+
+def _entries(items, what: str, scalar: str):
+    """(item[scalar], matrix) per JSON object of items; errors name the entry."""
+    for k, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ValidationError(f"hamiltonian: {what} {k} must be a JSON object")
+        yield item.get(scalar), matrix_from_json(item.get("matrix"), f"{what} {k}")
 
 
 def hamiltonian_from_json(obj) -> HamiltonianTrajectory:
@@ -78,24 +86,18 @@ def hamiltonian_from_json(obj) -> HamiltonianTrajectory:
         segs = obj.get("segments")
         if not isinstance(segs, list) or not segs:
             raise ValidationError("hamiltonian: 'segments' must be a non-empty list")
-        h = piecewise_hamiltonian(
-            (s.get("duration"), matrix_from_json(s.get("matrix"), f"segment {k}"))
-            for k, s in enumerate(segs)
-        )
+        h = piecewise_hamiltonian(_entries(segs, "segment", "duration"))
     elif kind == "interpolated":
         pts = obj.get("samples")
         if not isinstance(pts, list) or len(pts) < 2:
             raise ValidationError("hamiltonian: 'samples' must list at least two points")
-        h = interpolated_hamiltonian(
-            (s.get("time"), matrix_from_json(s.get("matrix"), f"sample {k}"))
-            for k, s in enumerate(pts)
-        )
+        h = interpolated_hamiltonian(_entries(pts, "sample", "time"))
     else:
         raise ValidationError(f"hamiltonian: unknown kind {kind!r}")
     declared = obj.get("dim")
-    if declared is not None and int(declared) != h.dim:
+    if declared is not None and declared != h.dim:
         raise ValidationError(
-            f"hamiltonian: declared dim {declared} but matrices are {h.dim}x{h.dim}"
+            f"hamiltonian: declared dim {declared!r} but matrices are {h.dim}x{h.dim}"
         )
     return h
 

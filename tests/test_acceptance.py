@@ -269,7 +269,7 @@ def test_criterion_07_margolus_levitin_bounds():
     # approaches but never reaches the two-level minimum's double.
     for n in range(2, 9):
         h_cycle, c = cycle_hamiltonian(n, tau=1.0)
-        np.testing.assert_allclose(exp_i(h_cycle.matrix), c, atol=1e-12)
+        np.testing.assert_allclose(exp_i(h_cycle.at(0.0)), c, atol=1e-12)
         e0 = np.zeros(n)
         e0[0] = 1.0
         per_transition = effort_energy_integral(h_cycle, e0, 1.0)

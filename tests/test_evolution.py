@@ -91,8 +91,21 @@ class TestConstruction:
         b = np.diag([2.0, 4.0])
         h = interpolated_hamiltonian([(0.0, a), (1.0, b)])
         np.testing.assert_allclose(h.at(0.25), np.diag([0.5, 1.0]))
-        with pytest.raises(ValidationError, match="outside sample range"):
+        with pytest.raises(ValidationError, match="outside the interpolated range"):
             h.at(1.5)
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            constant_hamiltonian(np.eye(2)),
+            piecewise_hamiltonian([(1.0, np.eye(2))]),
+            interpolated_hamiltonian([(0.0, np.eye(2)), (1.0, np.eye(2))]),
+        ],
+        ids=["constant", "piecewise", "interpolated"],
+    )
+    def test_at_rejects_nan(self, h):
+        with pytest.raises(ValidationError, match=f"outside the {h.kind} range"):
+            h.at(float("nan"))
 
     def test_spectral_norm_max(self):
         assert constant_hamiltonian(np.diag([3.0, -1.0])).spectral_norm_max() == 3.0
@@ -106,6 +119,12 @@ class TestConstruction:
         mats = [random_hermitian(rng, 5, rng.uniform(0.5, 3.0)) for _ in range(9)]
         h = interpolated_hamiltonian(zip(np.linspace(0.0, 1.0, 9), mats))
         assert h.spectral_norm_max() == max(float(np.linalg.norm(m, 2)) for m in mats)
+        # The largest knot first or last, where only one block holds it.
+        for k in (0, -1):
+            ends = list(mats)
+            ends[k] = 4.0 * mats[k]
+            h = interpolated_hamiltonian(zip(np.linspace(0.0, 1.0, 9), ends))
+            assert h.spectral_norm_max() == float(np.linalg.norm(ends[k], 2))
 
     def test_total_duration_only_for_piecewise(self):
         h = piecewise_hamiltonian([(0.5, np.eye(2)), (0.25, np.eye(2))])
@@ -256,8 +275,24 @@ class TestEvolveMechanics:
         with pytest.raises(ValidationError, match="piecewise trajectory covers"):
             evolve(h, 0.9)
         hi = interpolated_hamiltonian([(0.2, np.eye(2)), (1.0, np.eye(2))])
-        with pytest.raises(ValidationError, match="interpolated samples cover"):
+        with pytest.raises(ValidationError, match="interpolated trajectory covers"):
             evolve(hi, 0.5)
+
+    @pytest.mark.parametrize("kind", ["piecewise", "interpolated"])
+    def test_end_slack_clips_to_the_last_block(self, kind):
+        # Every drive may fall short of t_end by at most 1e-12; the
+        # trajectory then ends where the drive does.
+        rng = np.random.default_rng(38)
+        a, b = random_hermitian(rng, 2, 1.0), random_hermitian(rng, 2, 1.0)
+        if kind == "piecewise":
+            h = piecewise_hamiltonian([(0.5, a), (0.75, b)])
+        else:
+            h = interpolated_hamiltonian([(0.0, a), (0.5, b), (1.25, a)])
+        traj = evolve(h, 1.25 + 5e-13, StepPolicy(max_step=0.05))
+        assert traj.times[-1] == 1.25
+        assert len(traj.blocks) == len(h.blocks)
+        with pytest.raises(ValidationError, match=f"{kind} trajectory covers"):
+            evolve(h, 1.25 + 2e-12)
 
     def test_index_of(self):
         traj = evolve(constant_hamiltonian(np.eye(2)), 1.0, StepPolicy(max_step=0.25))
@@ -293,6 +328,11 @@ class TestStates:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def knots_of(h):
+    """The (time, H) knots of an interpolated drive, read off its "lin" blocks."""
+    return [desc[1:3] for *_, desc in h.blocks] + [h.blocks[-1][2][3:]]
+
+
 def reference_midpoint_evolve(h, t_end, policy, exponential=None):
     """The per-step midpoint loop that evolve's batched stage replaced.
 
@@ -302,11 +342,12 @@ def reference_midpoint_evolve(h, t_end, policy, exponential=None):
     `exponential` replaces it. Returns (times, unitaries, blocks,
     drift_polishes), the last counting polishes that fired on drift alone.
     """
-    hmax = max(float(np.linalg.norm(m, 2)) for _, m in h.samples)
+    knots = knots_of(h)
+    hmax = max(float(np.linalg.norm(m, 2)) for _, m in knots)
     cap = policy.max_step or min(DEFAULT_MAX_STEP, math.pi / (8.0 * hmax))
     dim = h.dim
     intervals = []
-    for (a0, h0), (a1, h1) in zip(h.samples[:-1], h.samples[1:]):
+    for (a0, h0), (a1, h1) in zip(knots[:-1], knots[1:]):
         t0, t1 = max(a0, 0.0), min(a1, t_end)
         if t1 > t0:
             n = max(2, math.ceil((t1 - t0) / cap))
@@ -413,7 +454,7 @@ class TestBatchedMidpointStage:
         knots = np.linspace(0.0, 6.0, 4)
         h = interpolated_hamiltonian((t, random_hermitian(rng, 4, 1.5)) for t in knots)
         policy = StepPolicy(max_step=0.5)
-        assert max(np.linalg.norm(m, 1) for _, m in h.samples) * 0.5 > _TAYLOR_THETA[-1]
+        assert max(np.linalg.norm(m, 1) for _, m in knots_of(h)) * 0.5 > _TAYLOR_THETA[-1]
         traj = evolve(h, 6.0, policy)
         _, spectral, _, _ = reference_midpoint_evolve(h, 6.0, policy, exp_i)
         np.testing.assert_allclose(traj.unitaries, spectral, rtol=0.0, atol=1e-12)

@@ -141,12 +141,12 @@ class TestCycleHamiltonian:
     def test_generates_the_shift(self):
         for n in (2, 3, 5):
             h, c = cycle_hamiltonian(n, tau=0.7)
-            np.testing.assert_allclose(exp_i(h.matrix * 0.7), c, atol=1e-12)
+            np.testing.assert_allclose(exp_i(h.at(0.0) * 0.7), c, atol=1e-12)
             np.testing.assert_allclose(c @ np.eye(n)[:, 0], np.eye(n)[:, 1])
 
     def test_ground_zeroed_spectrum(self):
         h, _ = cycle_hamiltonian(4, tau=1.0)
-        w = np.linalg.eigvalsh(h.matrix)
+        w = np.linalg.eigvalsh(h.at(0.0))
         assert w[0] == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(
             w, 2 * np.pi / 4 * np.array([0.0, 1.0, 2.0, 3.0]), atol=1e-12

@@ -57,7 +57,7 @@ class TestHamiltonianCodec:
         h = constant_hamiltonian(random_hermitian(rng, 3, 1.0))
         back = hamiltonian_from_json(hamiltonian_to_json(h))
         assert back.kind == "constant"
-        np.testing.assert_allclose(back.matrix, h.matrix)
+        np.testing.assert_allclose(back.at(0.0), h.at(0.0))
 
     def test_piecewise_round_trip(self):
         rng = np.random.default_rng(83)
@@ -77,6 +77,45 @@ class TestHamiltonianCodec:
         back = hamiltonian_from_json(hamiltonian_to_json(h))
         assert back.kind == "interpolated"
         np.testing.assert_allclose(back.at(0.7), h.at(0.7))
+
+    def test_round_trip_keeps_the_blocks(self):
+        rng = np.random.default_rng(85)
+        mats = [random_hermitian(rng, 3, 1.0) for _ in range(4)]
+        durations = rng.uniform(0.05, 1.5, 4)  # two come back one ulp off
+        exact = [
+            constant_hamiltonian(mats[0]),
+            interpolated_hamiltonian(zip([-0.1, 0.2, 0.7, 1.0 / 3.0 + 1.0], mats)),
+        ]
+        for h in exact + [piecewise_hamiltonian(zip(durations, mats))]:
+            back = hamiltonian_from_json(hamiltonian_to_json(h))
+            assert (back.dim, back.kind, len(back.blocks)) == (h.dim, h.kind, len(h.blocks))
+            for (t0, t1, desc), (b0, b1, back_desc) in zip(h.blocks, back.blocks):
+                if h in exact:
+                    assert (b0, b1) == (t0, t1)
+                else:  # durations pass through t1 - t0 and back
+                    assert b0 == pytest.approx(t0, rel=4e-16, abs=0.0)
+                    assert b1 == pytest.approx(t1, rel=4e-16, abs=0.0)
+                assert len(back_desc) == len(desc) and back_desc[0] == desc[0]
+                for x, y in zip(desc[1:], back_desc[1:]):
+                    np.testing.assert_array_equal(y, x)
+
+    @pytest.mark.parametrize(
+        "obj, match",
+        [
+            ({"kind": "piecewise", "segments": [[0.5, [[[1, 0]]]]]}, "segment 0 must be a JSON"),
+            ({"kind": "piecewise", "segments": [{"matrix": [[[1, 0]]]}]}, "segment 0 duration"),
+            (
+                {"kind": "interpolated", "samples": [{"time": 0.0, "matrix": [[[1, 0]]]},
+                                                     {"matrix": [[[1, 0]]]}]},
+                "sample 1 time",
+            ),
+            ({"kind": "constant", "dim": "two", "matrix": [[[1, 0]]]}, "declared dim 'two'"),
+        ],
+        ids=["segment-not-object", "no-duration", "no-time", "dim-not-integer"],
+    )
+    def test_malformed_entries_are_validation_errors(self, obj, match):
+        with pytest.raises(ValidationError, match=match):
+            hamiltonian_from_json(obj)
 
     def test_validation(self):
         with pytest.raises(ValidationError, match="expected a JSON object"):
