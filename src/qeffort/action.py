@@ -28,7 +28,14 @@ import numpy as np
 
 from .errors import AmbiguousMatchError, NumericalError, ValidationError
 from .evolution import UnitaryTrajectory, sample_index
-from .linalg import DEGENERACY_TOL, as_state, fold_angle, stack_chunks, unitary_eigenphases_stack
+from .linalg import (
+    DEGENERACY_TOL,
+    _cluster_ids,
+    as_state,
+    fold_angle,
+    stack_chunks,
+    unitary_eigenphases_stack,
+)
 from .serialize import write_csv
 
 # Two candidate matches whose squared overlaps compete within this margin
@@ -74,18 +81,6 @@ class ActionOperator:
 
     matrix: np.ndarray
     time: float
-
-
-def _cluster_ids(phi: np.ndarray) -> np.ndarray:
-    """Label degenerate clusters of sorted principal phases.
-
-    Neighbors closer than DEGENERACY_TOL share a label; the first and last
-    clusters merge when they touch across the branch point.
-    """
-    ids = np.concatenate(([0], np.cumsum(np.diff(phi) >= DEGENERACY_TOL)))
-    if ids[-1] != 0 and 2.0 * np.pi - (phi[-1] - phi[0]) < DEGENERACY_TOL:
-        ids[ids == ids[-1]] = 0
-    return ids
 
 
 def _is_ambiguous(overlap, cluster, assign) -> bool:
@@ -206,7 +201,7 @@ def _track(times: np.ndarray, u: np.ndarray, strict: bool) -> ActionTrack:
             from scipy.optimize import linear_sum_assignment
 
             _, assign = linear_sum_assignment(-overlap)
-        cluster = _cluster_ids(phis_raw[k - 1])
+        cluster = _cluster_ids(phis_raw[k - 1], DEGENERACY_TOL, circular=True)
         if _is_ambiguous(overlap, cluster, assign):
             stop = k
             break

@@ -8,9 +8,11 @@ eigenvector matching, step underflow).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from importlib import resources
 
 from .berry import aa_phase_check, export_berry_csv
@@ -41,17 +43,13 @@ from .serialize import (
 # Tasks whose output has a tabular form; everything else is JSON-only.
 _CSV_TASKS = frozenset({"evolve", "effort", "area", "berry", "gate-table"})
 
-_SCHEMA_CACHE: dict | None = None
 
-
+@functools.cache
 def _problem_schema() -> dict:
-    global _SCHEMA_CACHE
-    if _SCHEMA_CACHE is None:
-        text = (
-            resources.files("qeffort") / "schemas" / "problem.schema.json"
-        ).read_text(encoding="utf-8")
-        _SCHEMA_CACHE = json.loads(text)
-    return _SCHEMA_CACHE
+    text = (
+        resources.files("qeffort") / "schemas" / "problem.schema.json"
+    ).read_text(encoding="utf-8")
+    return json.loads(text)
 
 
 def _load_problem(path: str) -> dict:
@@ -157,22 +155,13 @@ def _task_difficulty(problem, policy, args):
     result = difficulty_u2(u)
     b = bloch_decompose(u)
     duration = float(problem.get("duration", result.duration))
-    h_opt = (
-        result.optimal_hamiltonian
-        if duration == result.duration
-        else optimal_hamiltonian(u, duration)
-    )
     payload = {
         "task": "difficulty",
         "value": result.value,
         "duration": duration,
         "convention": result.convention,
-        "optimal_hamiltonian": matrix_to_json(h_opt),
-        "bloch": {
-            "alpha": b.alpha,
-            "theta": b.theta,
-            "axis": [float(x) for x in b.axis],
-        },
+        "optimal_hamiltonian": matrix_to_json(optimal_hamiltonian(u, duration)),
+        "bloch": {"alpha": b.alpha, "theta": b.theta, "axis": b.axis.tolist()},
     }
     if problem.get("verify"):
         check = verify_minimality(
@@ -209,14 +198,7 @@ def _task_ml_check(problem, policy, args):
     h = hamiltonian_from_json(problem["hamiltonian"])
     psi0 = state_from_json(problem["initial_state"])
     check = ml_check(h, psi0, float(problem["t_max"]))
-    payload = {
-        "task": "ml-check",
-        "orthogonalization_time": check.orthogonalization_time,
-        "mean_energy_above_ground": check.mean_energy_above_ground,
-        "min_time_bound": check.min_time_bound,
-        "satisfied": check.satisfied,
-    }
-    return payload, None
+    return {"task": "ml-check", **asdict(check)}, None
 
 
 def _task_berry(problem, policy, args):
@@ -254,13 +236,7 @@ def _task_gate_table(problem, policy, args):
 
 def _task_levitin(problem, policy, args):
     comp = levitin_comparison(float(problem["theta"]))
-    payload = {
-        "task": "levitin",
-        "theta": comp.theta,
-        "specific_state_effort": comp.specific_state_effort,
-        "worst_case_effort": comp.worst_case_effort,
-    }
-    return payload, None
+    return {"task": "levitin", **asdict(comp)}, None
 
 
 _TASKS = {
@@ -286,10 +262,6 @@ def _emit(problem: dict, payload: dict, csv_writer, quiet: bool) -> None:
     if out["format"] == "json":
         write_json(path, payload)
     else:
-        if csv_writer is None:
-            raise ValidationError(
-                f"task {problem['task']!r} has no csv output form"
-            )
         csv_writer(path)
     if not quiet:
         print(f"wrote {path}")

@@ -7,8 +7,8 @@ the steady rotation H = (theta/2t)(I + n.sigma) attains it. Controlled
 versions embed that 2x2 block in an otherwise zero Hamiltonian, which is
 why adding controls costs nothing in this model.
 
-The optimality of the steady rotation is a conjecture (verified here by
-random search, see verify_minimality), not a theorem.
+The optimality of the steady rotation is a conjecture, not a theorem;
+verify_minimality returns theta or more and cannot go below it.
 """
 
 from __future__ import annotations
@@ -167,6 +167,8 @@ def optimal_hamiltonian(u, duration: float = 1.0) -> np.ndarray:
     """
     if not duration > 0.0:
         raise ValidationError("duration must be positive")
+    if not math.isfinite(duration):
+        raise ValidationError(f"duration must be finite, got {duration!r}")
     b = bloch_decompose(u)
     n_dot_sigma = b.axis[0] * SIGMA_X + b.axis[1] * SIGMA_Y + b.axis[2] * SIGMA_Z
     return (b.theta / (2.0 * duration)) * (np.eye(2) + n_dot_sigma)
@@ -296,13 +298,13 @@ def classical_circuit_effort_bound(circuit) -> float:
 
 
 def verify_minimality(u, n_samples: int = 10000, seed: int = 0) -> MinimalityCheck:
-    """Random-search falsification pressure on the minimal-difficulty claim.
+    """Random search over the generators of U that share its eigenvectors.
 
     Every Hamiltonian implementing U up to global phase at t = 1 shares
     U's eigenvectors and has eigenvalues Arg(u_j) + phi + 2 pi n_j; after
     the ground-zero shift its worst-case effort is the eigenvalue spread.
-    Samples (phi, n_j) and reports the smallest spread found, which should
-    never undercut theta by more than numerical slack.
+    Samples (phi, n_j) and reports the smallest spread found: theta, or
+    more when no sample draws the right n_j. It cannot go below theta.
     """
     u = _require_u2(u)
     b = bloch_decompose(u)

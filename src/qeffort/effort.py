@@ -1,11 +1,12 @@
-"""The effort functional, computed four independent ways.
+"""The effort functional, computed four ways.
 
 For a trajectory psi(t) = U(t) psi0 the accumulated average phase angle
 alpha equals the overlap line integral, the time integral of <H>, the
 expectation of the action operator, and twice the complex-plane area swept
-by the coefficients in any fixed basis. Each estimator here has its own
-error profile, so their mutual agreement is a real cross-check rather
-than a tautology.
+by the coefficients in any fixed basis. The line integral and the area are
+arg and Im of the same step overlaps <psi_k|psi_k+1>, so their gap
+measures the step size; the energy integral is the independent check. The
+area is the same in every unitary basis by algebra, so it is computed once.
 
 Signed values throughout: clockwise coefficient motion contributes
 negative area and negative effort. The ground-zero shift that makes
@@ -14,13 +15,14 @@ efforts nonnegative is a convention applied by the difficulty module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .action import ActionOperator, _track_knots, action_expectation
 from .errors import ValidationError
 from .evolution import StateTrajectory, evolve, state_trajectory
+from .infidelity import fidelity
 from .linalg import as_state, check_hermitian, check_unitary, stack_chunks
 from .serialize import write_csv
 
@@ -32,9 +34,9 @@ class EffortReport:
     """The four effort estimates and their mutual discrepancy.
 
     2 * area_swept is the alpha-comparable quantity; the three alphas and
-    it agree within max_pairwise_discrepancy. area_basis_variation is the
-    spread of the area across the requested bases (a basis-independence
-    diagnostic, identically 0.0 for a single basis).
+    it agree within max_pairwise_discrepancy. area_basis_variation stays
+    in the report format and is always 0.0: the area is the same in every
+    unitary basis.
     """
 
     alpha_line_integral: float
@@ -46,15 +48,7 @@ class EffortReport:
     area_basis_variation: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "alpha_line_integral": self.alpha_line_integral,
-            "alpha_energy_integral": self.alpha_energy_integral,
-            "alpha_action_expectation": self.alpha_action_expectation,
-            "area_swept": self.area_swept,
-            "basis_used": self.basis_used,
-            "max_pairwise_discrepancy": self.max_pairwise_discrepancy,
-            "area_basis_variation": self.area_basis_variation,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -74,6 +68,14 @@ def _state_samples(states) -> tuple[np.ndarray, np.ndarray]:
     times = np.array([float(t) for t, _ in pairs])
     mat = np.array([np.asarray(v, dtype=complex).reshape(-1) for _, v in pairs])
     return times, mat
+
+
+def _check_basis(basis, dim: int, name: str = "basis") -> np.ndarray:
+    """A unitary basis of the dim-dimensional state space, as a complex array."""
+    basis = check_unitary(basis, name=name)
+    if basis.shape[0] != dim:
+        raise ValidationError(f"{name} has dimension {basis.shape[0]}, the states {dim}")
+    return basis
 
 
 def effort_line_integral(states) -> float:
@@ -102,7 +104,8 @@ def area_swept(states, basis=None) -> float:
     basis: unitary matrix whose columns are the expansion vectors; None
     means the standard basis. Each coefficient c_j(t) = <b_j|psi(t)> traces
     a curve; the swept area is sum_j (1/2) integral Im(conj(c_j) dc_j).
-    Clockwise motion counts negative.
+    Clockwise motion counts negative. sum_j conj(c_j(k)) c_j(k+1) is
+    <psi_k|psi_k+1> in every unitary basis, so basis is only validated.
 
     The base estimate is the triangle sum (1/2) Im(conj(c_k) c_k+1), whose
     chord bias is O(step^2). Wherever two consecutive steps are equal the
@@ -112,15 +115,16 @@ def area_swept(states, basis=None) -> float:
     times, psi = _state_samples(states)
     if psi.shape[0] < 2:
         raise ValidationError("area needs at least two samples")
-    coeffs = psi if basis is None else psi @ check_unitary(basis, name="basis").conj()
-    cross = np.einsum("kj,kj->k", coeffs[:-1].conj(), coeffs[1:]).imag
+    if basis is not None:
+        _check_basis(basis, psi.shape[1])
+    cross = np.einsum("kj,kj->k", psi[:-1].conj(), psi[1:]).imag
     n = cross.shape[0]
     if n < 2 or n % 2 != 0:
         return float(0.5 * cross.sum())
     dt = np.diff(times)
     uniform = np.abs(dt[0::2] - dt[1::2]) <= 1e-9 * np.abs(dt[0::2])
     fine = cross[0::2] + cross[1::2]
-    coarse = np.einsum("kj,kj->k", coeffs[:-2:2].conj(), coeffs[2::2]).imag
+    coarse = np.einsum("kj,kj->k", psi[:-2:2].conj(), psi[2::2]).imag
     return float(0.5 * np.where(uniform, (4.0 * fine - coarse) / 3.0, fine).sum())
 
 
@@ -188,9 +192,9 @@ def effort_energy_integral(h, psi0, t_end: float, policy=None) -> float:
 def effort_report(h, psi0, t_end: float, bases=None, policy=None) -> EffortReport:
     """Run all four effort estimators on one evolution and compare them.
 
-    bases: optional list of unitary basis matrices for the area; the
-    reported area uses the first, and area_basis_variation records the
-    spread across all of them.
+    bases: optional unitary basis matrices, validated before anything is
+    computed; the area is the same in all of them, so area_basis_variation
+    is 0.0.
 
     The action estimator needs A(t_end) only, so it tracks the eigenphases
     on knots: every s-th sample and the last, with s the largest stride
@@ -207,14 +211,14 @@ def effort_report(h, psi0, t_end: float, bases=None, policy=None) -> EffortRepor
 
 def _report(traj, psi0, bases=None) -> tuple[EffortReport, StateTrajectory]:
     """effort_report on an evolved trajectory; also returns psi0's states."""
+    for i, b in enumerate(bases or ()):
+        _check_basis(b, traj.dim, f"bases[{i}]")
     st = state_trajectory(traj, psi0)
     line = effort_line_integral(st)
     energy = blockwise_energy_integral(traj, st.states)
     track = _track_knots(traj)
     a_exp = action_expectation(track, psi0, float(traj.times[-1]))
-    basis_list = list(bases) if bases else [None]
-    areas = [area_swept(st, b) for b in basis_list]
-    area = areas[0]
+    area = area_swept(st)
     values = [2.0 * area, line, energy, a_exp]
     disc = max(abs(x - y) for x in values for y in values)
     return EffortReport(
@@ -222,9 +226,8 @@ def _report(traj, psi0, bases=None) -> tuple[EffortReport, StateTrajectory]:
         alpha_energy_integral=energy,
         alpha_action_expectation=a_exp,
         area_swept=area,
-        basis_used="standard" if bases is None or not bases else "custom",
+        basis_used="custom" if bases else "standard",
         max_pairwise_discrepancy=disc,
-        area_basis_variation=max(areas) - min(areas) if len(areas) > 1 else 0.0,
     ), st
 
 
@@ -289,14 +292,13 @@ def effort_bounds(a, ensemble="full-space") -> EffortBounds:
 
 def hilbert_distance(psi1, psi2) -> float:
     """arccos |<psi1|psi2>|: the unrestricted minimum effort between states."""
-    f = abs(np.vdot(as_state(psi1), as_state(psi2)))
-    return float(np.arccos(min(f, 1.0)))
+    return float(np.arccos(fidelity(psi1, psi2)))
 
 
 def export_state_trace_csv(path, states, basis=None) -> None:
     """Per-coefficient complex-plane trace (time, basis_index, re, im)."""
     times, psi = _state_samples(states)
-    coeffs = psi if basis is None else psi @ check_unitary(basis, name="basis").conj()
+    coeffs = psi if basis is None else psi @ _check_basis(basis, psi.shape[1]).conj()
     rows = (
         (times[k], j, coeffs[k, j].real, coeffs[k, j].imag)
         for k in range(times.shape[0])

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .linalg import _exp_i_taylor, as_state, check_hermitian, reunitarize, stack_chunks
+from .linalg import _drift, _exp_i_taylor, as_state, check_hermitian, reunitarize, stack_chunks
 
 #: Upper bound on the automatic step size. Chosen so that the four effort
 #: estimators (each with an independent O(step^2) quadrature error) agree
@@ -129,13 +129,15 @@ def constant_hamiltonian(h) -> HamiltonianTrajectory:
 
 
 def _checked_pairs(pairs, what: str, scalar: str) -> list[tuple[float, np.ndarray]]:
-    """(float(x), H) of (x, H) pairs, each H Hermitian and all of one dimension."""
+    """(float(x), H) of (x, H) pairs, each x finite, each H Hermitian, all of one dimension."""
     knots = []
     for k, (x, h) in enumerate(pairs):
         try:
             x = float(x)
         except (TypeError, ValueError):
             raise ValidationError(f"{what} {k} {scalar} must be a number, got {x!r}") from None
+        if not math.isfinite(x):
+            raise ValidationError(f"{what} {k} {scalar} must be finite, got {x!r}")
         h = check_hermitian(h, name=f"{what} {k} Hamiltonian")
         if knots and h.shape != knots[0][1].shape:
             raise ValidationError(f"{what} dimensions disagree")
@@ -152,6 +154,8 @@ def piecewise_hamiltonian(segments) -> HamiltonianTrajectory:
     if not segs:
         raise ValidationError("piecewise trajectory needs at least one segment")
     ends = list(accumulate((dur for dur, _ in segs), initial=0.0))
+    if not math.isfinite(ends[-1]):
+        raise ValidationError(f"segment durations sum to {ends[-1]!r}")
     blocks = tuple((t0, t1, ("const", h)) for t0, t1, (_, h) in zip(ends, ends[1:], segs))
     return HamiltonianTrajectory(segs[0][1].shape[0], "piecewise", blocks)
 
@@ -239,11 +243,6 @@ def _spectral_samples(h_mat, local_times, u_start):
     phases = np.exp(1j * np.outer(local_times, w))
     props = np.einsum("ij,tj,kj->tik", v, phases, v.conj())
     return props @ u_start
-
-
-def _drift(u) -> float:
-    """||U†U - I||_F, the unitarity drift the step policy bounds."""
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
 
 
 def _first_drift(us, tol: float, checked):

@@ -1,17 +1,18 @@
-"""Fidelity, infidelity, and minimum-effort laws for reaching a target.
+"""Fidelity, infidelity, and speed limits for reaching a target.
 
-Reaching infidelity I from a state costs at least arcsin(I) of effort
-(worst case over initial states: twice that), realized by a steady
-rotation through angle 2*arcsin(I) about an axis whose eigenstates the
-state straddles equally. The Margolus-Levitin orthogonalization bound and
-its N-state cycle refinement live here too, since they are the I = 1
-special case of the same story.
+arcsin(I) = arccos(F), the Fubini-Study distance, bounds the path length
+(the time integral of the energy spread) of any drive that reaches
+infidelity I, not its effort: H = diag(0, 1) takes (sqrt 0.9, sqrt 0.1)
+to I = 0.3 at t = pi/3 with effort 0.105 < arcsin(0.3) = 0.305. A steady
+rotation through 2*arcsin(I) about an axis whose eigenstates the state
+straddles equally spends exactly arcsin(I). The Margolus-Levitin
+orthogonalization bound and its N-state cycle refinement live here too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,28 +66,25 @@ class InfidelityPlan:
     def to_json(self) -> dict:
         from .serialize import matrix_to_json, state_to_json
 
+        r = self.realization
         return {
-            "target_infidelity": self.target_infidelity,
-            "rotation_angle": self.rotation_angle,
-            "state_effort": self.state_effort,
-            "worst_case_effort": self.worst_case_effort,
-            "min_time_at_state_energy": self.min_time_at_state_energy,
-            "min_time_at_max_energy": self.min_time_at_max_energy,
+            **asdict(self),
             "realization": {
-                "hamiltonian": matrix_to_json(self.realization.hamiltonian),
-                "initial_state": state_to_json(self.realization.initial_state),
-                "duration": self.realization.duration,
+                "hamiltonian": matrix_to_json(r.hamiltonian),
+                "initial_state": state_to_json(r.initial_state),
+                "duration": r.duration,
             },
         }
 
 
 def plan_infidelity(target: float, energy: float) -> InfidelityPlan:
-    """Minimum-effort budget for reaching infidelity `target`.
+    """Steady-rotation plan for reaching infidelity `target`.
 
-    energy is the evolving state's mean energy above ground. The worst
-    case over initial states doubles the effort, and the two time bounds
-    price the effort at the state's energy and at the realization's top
-    energy 2E respectively.
+    energy is the evolving state's mean energy above ground. Its state
+    effort arcsin(target) is the least path length, not the least effort
+    (see the module docstring). The worst case over initial states doubles
+    the effort, and the two time bounds price the effort at the state's
+    energy and at the realization's top energy 2E respectively.
     """
     target = float(target)
     if not 0.0 <= target <= 1.0:

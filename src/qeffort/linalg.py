@@ -75,9 +75,14 @@ def check_hermitian(m, tol: float = _HERM_TOL, name: str = "matrix") -> np.ndarr
     return m
 
 
+def _drift(u) -> float:
+    """||U†U - I||_F, the distance from unitarity every check measures."""
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
+
+
 def check_unitary(m, tol: float = _UNITARY_TOL, name: str = "matrix") -> np.ndarray:
     m = as_matrix(m)
-    err = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
+    err = _drift(m)
     if err >= tol:
         raise ValidationError(f"{name} is not unitary: ||M†M - I||_F = {err:.3e}")
     return m
@@ -138,15 +143,16 @@ def stack_chunks(n: int, d: int):
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
-def _group_spans(values: np.ndarray, tol: float):
-    """Yield (start, stop) index spans of near-equal consecutive values."""
-    n = values.shape[0]
-    start = 0
-    for i in range(1, n):
-        if values[i] - values[i - 1] >= tol:
-            yield start, i
-            start = i
-    yield start, n
+def _cluster_ids(values: np.ndarray, tol: float, circular: bool = False) -> np.ndarray:
+    """Label clusters of ascending values: neighbors closer than tol share a label.
+
+    circular: the values are phases in (-pi, pi], and the first and last
+    clusters merge when they touch across the branch point.
+    """
+    ids = np.concatenate(([0], np.cumsum(np.diff(values) >= tol)))
+    if circular and ids[-1] != 0 and 2.0 * np.pi - (values[-1] - values[0]) < tol:
+        ids[ids == ids[-1]] = 0
+    return ids
 
 
 def _refine_unitary_basis(c_vals, vectors, s_mat):
@@ -159,14 +165,14 @@ def _refine_unitary_basis(c_vals, vectors, s_mat):
     enough.
     """
     v = vectors.copy()
-    for a, b in _group_spans(c_vals, _COS_GROUP_TOL):
-        if b - a < 2:
-            continue
-        block = v[:, a:b]
+    ids = _cluster_ids(c_vals, _COS_GROUP_TOL)
+    for label in np.flatnonzero(np.bincount(ids) > 1):
+        cols = ids == label
+        block = v[:, cols]
         s_proj = block.conj().T @ s_mat @ block
         s_proj = (s_proj + s_proj.conj().T) / 2.0
         _, w = np.linalg.eigh(s_proj)
-        v[:, a:b] = block @ w
+        v[:, cols] = block @ w
     return v
 
 
@@ -183,7 +189,7 @@ def spectral_decompose(m, kind: str | None = None) -> EigenSystem:
         scale = max(1.0, np.linalg.norm(m))
         if np.linalg.norm(m - m.conj().T) < _HERM_TOL * scale:
             kind = "hermitian"
-        elif np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) < _UNITARY_TOL:
+        elif _drift(m) < _UNITARY_TOL:
             kind = "unitary"
         else:
             raise ValidationError("matrix is neither Hermitian nor unitary")
@@ -300,7 +306,7 @@ def reunitarize(m) -> np.ndarray:
     integrator step failed, and polishing it would hide the failure.
     """
     m = as_matrix(m)
-    drift = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
+    drift = _drift(m)
     if drift >= 0.1:
         raise NumericalError(
             f"matrix is too far from unitary to repair (||M†M - I||_F = {drift:.3e})"

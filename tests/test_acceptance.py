@@ -172,6 +172,12 @@ def test_criterion_02_identity_chain_action_expectation_member(
 
 
 def test_criterion_03_area_basis_independence(twenty_trajectories):
+    """The area is the same in ten Haar bases: an identity, not physics.
+
+    In any unitary basis the components' products conj(c_j(k)) c_j(k+1)
+    sum to the step overlap <psi_k|psi_k+1>, so this fails only on a coding
+    error or on a basis that the unitarity check let through.
+    """
     rng = np.random.default_rng(3030)
     for rec in twenty_trajectories:
         dim = rec["dim"]

@@ -25,6 +25,9 @@ from qeffort import (
 from qeffort.cli import main
 
 
+INF = float("inf")  # json.dumps writes it as Infinity
+
+
 def report_validator():
     text = (
         resources.files("qeffort") / "schemas" / "report.schema.json"
@@ -317,6 +320,48 @@ class TestFailureExitCodes:
         path.write_text(json.dumps({**problem, field: float("inf")}))  # written as Infinity
         assert main([str(path)]) == 2
         assert f"{field} must be finite, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            (
+                {
+                    "task": "evolve",
+                    "t_end": 1.0,
+                    "hamiltonian": {
+                        "kind": "piecewise",
+                        "segments": [{"duration": INF, "matrix": diag_h(1.0, 0.0)["matrix"]}],
+                    },
+                },
+                "segment 0 duration must be finite, got inf",
+            ),
+            (
+                {"task": "difficulty", "unitary": diag_h(1.0, 1.0)["matrix"], "duration": INF},
+                "duration must be finite, got inf",
+            ),
+        ],
+        ids=["segment", "difficulty"],
+    )
+    def test_infinite_drive_duration(self, tmp_path, capsys, problem, message):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(problem))
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_bad_basis_is_refused_before_tracking(self, tmp_path, capsys):
+        # At this step the tracker fails (exit 3); the bases are checked first.
+        problem = {
+            "task": "effort",
+            "hamiltonian": diag_h(3.0, 0.0),
+            "initial_state": state_to_json(np.array([1.0, 0.0])),
+            "t_end": 2.0,
+            "bases": [matrix_to_json(np.eye(2)), matrix_to_json(2.0 * np.eye(2))],
+        }
+        path = write_problem(tmp_path, "bases.json", problem)
+        assert main([path, "--step", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: bases[1] is not unitary")
 
 
 class TestCsvTasks:

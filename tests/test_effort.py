@@ -21,6 +21,7 @@ from qeffort import (
     piecewise_hamiltonian,
     state_trajectory,
 )
+import qeffort.effort as effort_module
 from conftest import driven_qubit_trajectory, haar_unitary, random_hermitian, random_state
 
 
@@ -77,6 +78,24 @@ class TestAreaSwept:
     def test_needs_two_samples(self):
         with pytest.raises(ValidationError, match="area needs at least two"):
             area_swept([(0.0, [1.0, 0.0])])
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    def test_any_basis_gives_the_standard_bits(self, dim):
+        # sum_j conj(c_j(k)) c_j(k+1) = <psi_k|psi_k+1> in every unitary
+        # basis, so the area is computed once, from the states as given.
+        rng = np.random.default_rng(400 + dim)
+        h = constant_hamiltonian(random_hermitian(rng, dim, 1.5))
+        st = state_trajectory(evolve(h, 0.5), random_state(rng, dim))
+        base = area_swept(st)
+        for _ in range(3):
+            assert area_swept(st, haar_unitary(rng, dim)) == base
+
+    def test_basis_is_validated(self):
+        st = [(0.0, [1.0, 0.0]), (0.1, [1.0, 0.0])]
+        with pytest.raises(ValidationError, match="basis is not unitary"):
+            area_swept(st, 2.0 * np.eye(2))
+        with pytest.raises(ValidationError, match="basis has dimension 3, the states 2"):
+            area_swept(st, np.eye(3))
 
 
 class TestEnergyIntegral:
@@ -218,6 +237,24 @@ class TestEstimatorAgreement:
         report = effort_report(h, superposition(), 0.8, bases=bases)
         assert report.basis_used == "custom"
         assert report.area_basis_variation < 1e-8
+
+    def test_report_area_is_one_number_for_all_bases(self):
+        rng = np.random.default_rng(45)
+        h = constant_hamiltonian(random_hermitian(rng, 4, 1.0))
+        psi0 = random_state(rng, 4)
+        bases = [haar_unitary(rng, 4) for _ in range(3)]
+        report = effort_report(h, psi0, 0.8, bases=bases)
+        assert report.area_basis_variation == 0.0
+        assert report.area_swept == effort_report(h, psi0, 0.8).area_swept
+
+    def test_report_validates_every_basis_first(self, monkeypatch):
+        # A bad bases[1] is refused before any estimator runs.
+        monkeypatch.setattr(effort_module, "state_trajectory", None)
+        h = constant_hamiltonian(np.diag([1.0, 0.0]))
+        with pytest.raises(ValidationError, match=r"bases\[1\] is not unitary"):
+            effort_report(h, superposition(), 0.5, bases=[np.eye(2), 2.0 * np.eye(2)])
+        with pytest.raises(ValidationError, match=r"bases\[0\] has dimension 3"):
+            effort_report(h, superposition(), 0.5, bases=[np.eye(3)])
 
 
 class TestEffortBounds:

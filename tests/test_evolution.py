@@ -76,6 +76,18 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="sample 1 Hamiltonian"):
             interpolated_hamiltonian([(0.0, h), (1.0, [[0, 1], [0, 0]])])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_knot_times_and_durations_must_be_finite(self, bad):
+        h = np.eye(2)
+        with pytest.raises(ValidationError, match=f"segment 1 duration must be finite, got {bad}"):
+            piecewise_hamiltonian([(1.0, h), (bad, h)])
+        with pytest.raises(ValidationError, match=f"sample 0 time must be finite, got {bad}"):
+            interpolated_hamiltonian([(bad, h), (1.0, 2.0 * h)])
+
+    def test_segment_ends_must_be_finite(self):
+        with pytest.raises(ValidationError, match="segment durations sum to inf"):
+            piecewise_hamiltonian([(1e308, np.eye(2)), (1e308, np.eye(2))])
+
     def test_at_piecewise_boundary_takes_later_segment(self):
         a = np.diag([1.0, 0.0])
         b = np.diag([0.0, 1.0])

@@ -66,6 +66,18 @@ class TestPlanInfidelity:
         )
         assert spent == pytest.approx(np.arcsin(target), abs=1e-9)
 
+    def test_arcsin_law_bounds_path_length_not_effort(self):
+        # H = diag(0, 1) from (sqrt 0.9, sqrt 0.1) reaches infidelity 0.3 at
+        # t = pi/3 while spending effort 0.1 * pi/3 = 0.105 < arcsin(0.3).
+        h = constant_hamiltonian(np.diag([0.0, 1.0]))
+        psi0 = np.sqrt([0.9, 0.1])
+        t = np.pi / 3.0
+        psi_t = apply(evolve(h, t), psi0, t)
+        assert infidelity(psi0, psi_t) == pytest.approx(0.3, abs=1e-12)
+        spent = effort_energy_integral(h, psi0, t)
+        assert spent == pytest.approx(0.1 * t, abs=1e-12)
+        assert spent < np.arcsin(0.3) - 0.19
+
     def test_to_json_shape(self):
         d = plan_infidelity(0.3, 1.0).to_json()
         assert d["target_infidelity"] == 0.3

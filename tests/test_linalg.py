@@ -16,6 +16,7 @@ from qeffort import (
 )
 from qeffort.linalg import (
     _TAYLOR_THETA,
+    _cluster_ids,
     _exp_i_taylor,
     _refine_unitary_basis,
     as_state,
@@ -195,6 +196,30 @@ class TestChecks:
             as_state([np.nan, 0.0])
         with pytest.raises(ValidationError, match="not normalized"):
             as_state([1.0, 1.0])
+
+
+class TestClusterIds:
+    def test_no_groups(self):
+        assert _cluster_ids(np.array([-1.0, 0.0, 2.0]), 1e-9).tolist() == [0, 1, 2]
+
+    def test_interior_group(self):
+        values = np.array([-1.0, 0.3, 0.3 + 5e-10, 0.3 + 9e-10, 2.0])
+        assert _cluster_ids(values, 1e-9).tolist() == [0, 1, 1, 1, 2]
+        # The tolerance is on neighbors: a gap of exactly tol splits.
+        assert _cluster_ids(np.array([0.0, 1e-9]), 1e-9).tolist() == [0, 1]
+
+    def test_wrap_around_group(self):
+        eps = 2e-10
+        phases = np.array([-np.pi + eps, 0.5, np.pi - eps])
+        assert _cluster_ids(phases, 1e-9).tolist() == [0, 1, 2]
+        assert _cluster_ids(phases, 1e-9, circular=True).tolist() == [0, 1, 0]
+        # A wrap-around merges the end clusters whole.
+        phases = np.array([-np.pi + eps, -np.pi + 2 * eps, 0.5, np.pi - 2 * eps, np.pi - eps])
+        assert _cluster_ids(phases, 1e-9, circular=True).tolist() == [0, 0, 1, 0, 0]
+
+    def test_one_value(self):
+        for circular in (False, True):
+            assert _cluster_ids(np.array([np.pi]), 1e-9, circular).tolist() == [0]
 
 
 class TestReunitarize:
