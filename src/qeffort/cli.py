@@ -52,6 +52,80 @@ def _problem_schema() -> dict:
     return json.loads(text)
 
 
+def _is_type(instance, name: str) -> bool:
+    if isinstance(instance, bool):
+        return name == "boolean"
+    if name in ("number", "integer"):
+        return isinstance(instance, (int, float)) and (
+            name == "number" or isinstance(instance, int) or instance.is_integer()
+        )
+    return isinstance(instance, {"object": dict, "array": list, "string": str}.get(name, ()))
+
+
+def _conforms(instance, schema, root: dict) -> bool:
+    """Whether `instance` meets `schema` (a part of `root`) under Draft 2020-12.
+
+    Covers exactly the keywords problem.schema.json uses, with string
+    enum and const values. Each keyword is jsonschema's own failure test,
+    so NaN passes the numeric bounds. Any other keyword, type or `$ref`
+    reads as a failure, which leaves the verdict to jsonschema.
+    """
+    if isinstance(schema, bool):
+        return schema
+    is_object, is_array = isinstance(instance, dict), isinstance(instance, list)
+    is_number = _is_type(instance, "number")
+    for key, value in schema.items():
+        if key in ("$schema", "$id", "title", "$defs", "then"):
+            continue
+        if key == "$ref" and value.startswith("#/$defs/"):
+            ok = _conforms(instance, root["$defs"][value[len("#/$defs/"):]], root)
+        elif key == "type":
+            ok = _is_type(instance, value)
+        elif key == "enum":
+            ok = instance in value
+        elif key == "const":
+            ok = instance == value
+        elif key == "allOf":
+            ok = all(_conforms(instance, s, root) for s in value)
+        elif key == "if":
+            ok = not _conforms(instance, value, root) or _conforms(
+                instance, schema.get("then", True), root
+            )
+        elif key == "minimum":
+            ok = not (is_number and instance < value)
+        elif key == "maximum":
+            ok = not (is_number and instance > value)
+        elif key == "exclusiveMinimum":
+            ok = not (is_number and instance <= value)
+        elif key == "minLength":
+            ok = not (isinstance(instance, str) and len(instance) < value)
+        elif key == "required":
+            ok = not is_object or all(k in instance for k in value)
+        elif key == "properties":
+            ok = not is_object or all(
+                _conforms(instance[k], s, root) for k, s in value.items() if k in instance
+            )
+        elif key == "additionalProperties":
+            known = schema.get("properties", {})
+            ok = not is_object or all(
+                _conforms(v, value, root) for k, v in instance.items() if k not in known
+            )
+        elif key == "prefixItems":
+            ok = not is_array or all(_conforms(x, s, root) for x, s in zip(instance, value))
+        elif key == "items":
+            skip = len(schema.get("prefixItems", []))
+            ok = not is_array or all(_conforms(x, value, root) for x in instance[skip:])
+        elif key == "minItems":
+            ok = not (is_array and len(instance) < value)
+        elif key == "maxItems":
+            ok = not (is_array and len(instance) > value)
+        else:
+            return False
+        if not ok:
+            return False
+    return True
+
+
 def _load_problem(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -62,11 +136,16 @@ def _load_problem(path: str) -> dict:
         problem = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"problem file {path!r} is not valid JSON: {exc}") from exc
+    schema = _problem_schema()
+    if _conforms(problem, schema, schema):
+        return problem
 
+    # Only a file the check above refuses pays for importing jsonschema:
+    # it words the refusal, or accepts what the check does not cover.
     from jsonschema import Draft202012Validator
 
     errors = sorted(
-        Draft202012Validator(_problem_schema()).iter_errors(problem),
+        Draft202012Validator(schema).iter_errors(problem),
         key=lambda e: list(e.absolute_path),
     )
     if errors:

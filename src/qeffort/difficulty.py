@@ -55,7 +55,10 @@ GATE_TABLE_CSV_COLUMNS = ("gate", "difficulty")
 
 def phase_gate(theta: float) -> np.ndarray:
     """diag(1, e^{i theta}): phase the second basis state by theta."""
-    return np.diag([1.0, np.exp(1j * float(theta))])
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValidationError(f"phase angle must be finite, got {theta!r}")
+    return np.diag([1.0, np.exp(1j * theta)])
 
 
 @dataclass(frozen=True, eq=False)

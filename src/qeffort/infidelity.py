@@ -91,6 +91,8 @@ def plan_infidelity(target: float, energy: float) -> InfidelityPlan:
         raise ValidationError(f"infidelity must lie in [0, 1], got {target!r}")
     if not energy > 0.0:
         raise ValidationError("energy must be positive")
+    if not math.isfinite(energy):
+        raise ValidationError(f"energy must be finite, got {energy!r}")
     a = math.asin(target)
     realization = InfidelityRealization(
         hamiltonian=np.diag([0.0, 2.0 * energy]).astype(complex),

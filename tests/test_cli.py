@@ -1,7 +1,10 @@
 """Command line behavior: payload shapes, output files, exit codes."""
 
+import copy
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -350,6 +353,32 @@ class TestFailureExitCodes:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    # Turning warnings into errors fails the test if numpy warns (on stderr,
+    # in a real process) before the refusal.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            (
+                {"task": "infidelity", "target_infidelity": 0.3, "energy": INF},
+                "energy must be finite, got inf",
+            ),
+            ({"task": "gate-table", "phase_angle": INF}, "phase angle must be finite, got inf"),
+            (
+                {"task": "gate-table", "phase_angle": float("nan")},
+                "phase angle must be finite, got nan",
+            ),
+        ],
+        ids=["energy", "phase-angle-inf", "phase-angle-nan"],
+    )
+    def test_non_finite_value_is_one_error_line(self, tmp_path, capsys, problem, message):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(problem))
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_bad_basis_is_refused_before_tracking(self, tmp_path, capsys):
         # At this step the tracker fails (exit 3); the bases are checked first.
         problem = {
@@ -421,11 +450,191 @@ class TestCsvTasks:
         assert lines[0] == "gate,difficulty"
         assert lines[-1].startswith("ph(0.9)")
 
+def run_python(code, *args, check=True):
+    """Run `code` in a fresh interpreter that imports this qeffort."""
+    src = str(Path(qeffort.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=check
+    )
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy serves only the tracker's rarely taken assignment fallback,
     # which imports it on first use.
-    src = str(Path(qeffort.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, qeffort.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = run_python(code)
     assert out.stdout.strip() == "[]"
+
+
+def test_valid_problem_leaves_jsonschema_unloaded(tmp_path):
+    # jsonschema only words the refusal of a file the built-in check fails.
+    code = (
+        "import sys; from qeffort.cli import main; code = main(sys.argv[1:]); "
+        "print('jsonschema' in sys.modules); sys.exit(code)"
+    )
+    valid = write_problem(tmp_path, "valid.json", {"task": "levitin", "theta": 0.5})
+    out = run_python(code, valid)
+    assert out.stdout.splitlines()[-1] == "False"
+    invalid = write_problem(tmp_path, "invalid.json", {"task": "levitin", "theta": -0.5})
+    out = run_python(code, invalid, check=False)
+    assert out.returncode == 2
+    assert out.stdout == "True\n"
+    assert out.stderr == (
+        f"error: problem file {invalid!r}: at theta: -0.5 is less than the minimum of 0\n"
+    )
+
+
+# Keywords cli._conforms evaluates, and those it skips as annotations.
+CONFORMS_KEYWORDS = {
+    "type", "required", "properties", "additionalProperties", "allOf", "if", "then",
+    "const", "enum", "$ref", "items", "prefixItems", "minItems", "maxItems",
+    "minimum", "maximum", "exclusiveMinimum", "minLength",
+}
+SCHEMA_ANNOTATIONS = {"$schema", "$id", "title", "$defs"}
+CONFORMS_TYPES = {"object", "array", "string", "number", "integer", "boolean"}
+
+# Replacement values for the mutation corpus: the edges of the numeric
+# bounds and of the type rules, and values of the wrong type.
+ODD_VALUES = [
+    float("nan"), INF, -INF, True, False, 0, 1, -1, 0.0, 1.0, 2.5, 1e300,
+    "", "x", "csv", "evolve", None, [], {}, [1.0, 0.0],
+]
+
+
+def subschemas(schema):
+    """Every schema in `schema`, itself included."""
+    yield schema
+    if isinstance(schema, bool):
+        return
+    for key, value in schema.items():
+        if key in ("properties", "$defs"):
+            for sub in value.values():
+                yield from subschemas(sub)
+        elif key in ("allOf", "prefixItems"):
+            for sub in value:
+                yield from subschemas(sub)
+        elif key in ("if", "then", "items", "additionalProperties"):
+            yield from subschemas(value)
+
+
+def load_cli_mix():
+    """perfbench's cli-cold problem generator (perfbench is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.cli_mix
+
+
+def json_paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from json_paths(child, path + (key,))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from json_paths(child, path + (index,))
+
+
+def mutant(problem, rng):
+    """`problem` with one to three nodes replaced, deleted or lengthened."""
+    out = json.loads(json.dumps(problem))
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(json_paths(out)))
+        parent = out
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]] if path else out
+        action = rng.random()
+        if action < 0.15 and path:
+            del parent[path[-1]]
+        elif action < 0.3 and isinstance(node, dict):
+            node["extra"] = 1
+        elif action < 0.3 and isinstance(node, list):
+            node.append(copy.deepcopy(node[-1]) if node else 0.0)
+        elif path:
+            parent[path[-1]] = copy.deepcopy(rng.choice(ODD_VALUES))
+    return out
+
+
+@pytest.fixture(scope="module")
+def schema_corpus():
+    """The cli-cold problems of five seeds and 1,875 seeded mutants of them."""
+    cli_mix = load_cli_mix()
+    problems = [case["problem"] for seed in (1, 2, 3, 5, 7919) for case in cli_mix(seed)]
+    rng = random.Random(30)
+    mutants = [mutant(p, rng) for p in problems for _ in range(25)]
+    return problems + mutants
+
+
+class TestSchemaCheck:
+    """cli._conforms against jsonschema, which is the oracle."""
+
+    def test_schema_uses_only_handled_keywords(self):
+        schema = cli_module._problem_schema()
+        for sub in subschemas(schema):
+            if isinstance(sub, bool):
+                continue
+            assert set(sub) <= CONFORMS_KEYWORDS | SCHEMA_ANNOTATIONS, sub
+            assert sub.get("type", "object") in CONFORMS_TYPES, sub
+            assert all(isinstance(v, str) for v in sub.get("enum", [])), sub
+            assert isinstance(sub.get("const", ""), str), sub
+            if "$ref" in sub:
+                prefix, _, name = sub["$ref"].rpartition("/")
+                assert prefix == "#/$defs" and name in schema["$defs"], sub
+
+    @pytest.mark.parametrize(
+        "instance, schema",
+        [
+            (float("nan"), {"type": "number", "minimum": 0, "maximum": 1}),
+            (float("nan"), {"exclusiveMinimum": 0}),
+            (INF, {"type": "number", "exclusiveMinimum": 0}),
+            (-INF, {"type": "number", "minimum": 0}),
+            (0, {"exclusiveMinimum": 0}),
+            (True, {"type": "number"}),
+            (True, {"type": "integer"}),
+            (True, {"type": "boolean"}),
+            (1.0, {"type": "integer"}),
+            (1.5, {"type": "integer"}),
+            (INF, {"type": "integer"}),
+            ("", {"type": "string", "minLength": 1}),
+            ("1", {"enum": ["1"]}),
+            (1, {"enum": ["1"]}),
+            ([1.0, "a"], {"prefixItems": [{"type": "number"}], "items": {"type": "string"}}),
+            ({"a": 1}, {"properties": {"b": {}}, "additionalProperties": False}),
+            ({"k": "x"}, {"if": {"properties": {"k": {"const": "x"}}}, "then": {"required": ["n"]}}),
+        ],
+    )
+    def test_edge_cases_match_jsonschema(self, instance, schema):
+        expected = Draft202012Validator(schema).is_valid(instance)
+        assert cli_module._conforms(instance, schema, schema) == expected
+
+    def test_unknown_keywords_are_left_to_jsonschema(self):
+        for schema in ({"maxLength": 5}, {"type": "null"}, {"$ref": "other.json#/a"}):
+            assert not cli_module._conforms("abc", schema, schema)
+
+    def test_verdicts_match_jsonschema(self, schema_corpus):
+        schema = cli_module._problem_schema()
+        validator = Draft202012Validator(schema)
+        verdicts = [validator.is_valid(p) for p in schema_corpus]
+        assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+        for problem, expected in zip(schema_corpus, verdicts):
+            assert cli_module._conforms(problem, schema, schema) == expected, problem
+
+    def test_refusals_are_worded_by_jsonschema(self, schema_corpus, tmp_path, capsys, monkeypatch):
+        validator = Draft202012Validator(cli_module._problem_schema())
+        refused = [p for p in schema_corpus if not validator.is_valid(p)][:150]
+        path = tmp_path / "problem.json"
+        runs = []
+        # The second pass forces every file down the jsonschema path.
+        for conforms in (cli_module._conforms, lambda *args: False):
+            monkeypatch.setattr(cli_module, "_conforms", conforms)
+            run = []
+            for problem in refused:
+                path.write_text(json.dumps(problem))
+                code = main([str(path)])
+                run.append((code, capsys.readouterr()))
+            runs.append(run)
+        assert runs[0] == runs[1]
+        assert {code for code, _ in runs[0]} == {2}

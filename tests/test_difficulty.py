@@ -60,6 +60,11 @@ class TestBlochDecompose:
             assert b.theta == pytest.approx(theta, abs=1e-12)
             np.testing.assert_allclose(b.axis, (0.0, 0.0, -1.0), atol=1e-12)
 
+    @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+    def test_phase_gate_refuses_non_finite_angles(self, theta):
+        with pytest.raises(ValidationError, match="phase angle must be finite"):
+            phase_gate(theta)
+
     def test_reconstruct_round_trip(self):
         rng = np.random.default_rng(51)
         mats = [u for u, *_ in DECOMPOSITION_TABLE]

@@ -93,6 +93,10 @@ class TestPlanInfidelity:
         with pytest.raises(ValidationError, match="energy must be positive"):
             plan_infidelity(0.5, 0.0)
 
+    def test_infinite_energy_is_refused(self):
+        with pytest.raises(ValidationError, match="energy must be finite, got inf"):
+            plan_infidelity(0.3, float("inf"))
+
 
 class TestOrthogonalizationTime:
     def test_equal_superposition_of_gap_one(self):
